@@ -276,6 +276,16 @@ class ClusterTopology:
                 f"Device id {device_id} out of range [0, {self.num_devices})"
             ) from None
 
+    def islands_of(self, device_ids: Sequence[int]) -> frozenset[int]:
+        """The islands hosting ``device_ids``, read from the flat device table."""
+        node_ids = self._node_ids
+        if device_ids and (min(device_ids) < 0 or max(device_ids) >= len(node_ids)):
+            bad = next(d for d in device_ids if not 0 <= d < len(node_ids))
+            raise TopologyError(
+                f"Device id {bad} out of range [0, {self.num_devices})"
+            )
+        return frozenset(map(node_ids.__getitem__, device_ids))
+
     def islands(self) -> list[list[int]]:
         """Device ids grouped by island, in island order (copy, safe to edit)."""
         return [list(group) for group in self._island_groups]
@@ -393,7 +403,7 @@ class ClusterTopology:
             raise TopologyError("Device group must not be empty")
         if len(ids) == 1:
             return self.intra_device
-        islands = {self.island_of(d) for d in ids}
+        islands = self.islands_of(ids)
         if len(islands) == 1:
             return self.intra_island
         devices_per_island = len(ids) / len(islands)

@@ -18,13 +18,19 @@ ablation of Fig. 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from itertools import chain, filterfalse, islice
+from typing import Iterator, Sequence
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.metagraph import MetaGraph
 from repro.core.plan import PlacementResult, Wave, WaveEntry
-from repro.costmodel.comm import group_transfer_time
+from repro.costmodel.comm import (
+    DeviceGroup,
+    group_link,
+    group_transfer_time,
+    link_transfer_time,
+)
 from repro.costmodel.memory import MemoryModel
 
 
@@ -32,16 +38,67 @@ class PlacementError(Exception):
     """Raised when no feasible placement exists."""
 
 
-@dataclass
-class _DeviceState:
-    """Mutable per-device bookkeeping during placement."""
+@dataclass(frozen=True)
+class _IslandPool:
+    """The islands an entry may use: the whole cluster or one spec class's."""
 
-    memory_bytes: float = 0.0
-    param_keys: set[str] = field(default_factory=set)
+    islands: tuple[int, ...]
+    island_set: frozenset[int]
+    #: Devices of a spec class's islands; ``None`` for the whole cluster.
+    devices: frozenset[int] | None
+    largest_island: int
+
+
+class _FreeLists:
+    """One wave's free devices as an ascending tuple per island.
+
+    Devices are only taken within a wave, so an island that empties stays
+    empty; each pool keeps a cursor past its leading empty islands.
+    """
+
+    def __init__(self, island_devices: tuple[tuple[int, ...], ...]) -> None:
+        self.lists = list(island_devices)
+        self.taken: set[int] = set()
+        self.num_free = sum(map(len, island_devices))
+        self._cursors: dict[frozenset[int], int] = {}
+
+    def walk(
+        self, pool: _IslandPool, preferred: frozenset[int]
+    ) -> Iterator[tuple[int, ...]]:
+        """Non-empty free lists of ``pool``: ``preferred`` islands first, then
+        the rest, each part in island order (ascending device ids)."""
+        lists = self.lists
+        for island in sorted(preferred):
+            if lists[island]:
+                yield lists[island]
+        islands = pool.islands
+        cursor = self._cursors.get(pool.island_set, 0)
+        while cursor < len(islands) and not lists[islands[cursor]]:
+            cursor += 1
+        self._cursors[pool.island_set] = cursor
+        for island in islice(islands, cursor, None):
+            if island not in preferred and lists[island]:
+                yield lists[island]
+
+    def take(self, group: DeviceGroup) -> None:
+        members = group.members
+        self.taken |= members
+        self.num_free -= len(members)
+        for island in group.islands:
+            self.lists[island] = tuple(filterfalse(members.__contains__, self.lists[island]))
 
 
 class LocalityAwarePlacer:
-    """Greedy, wave-by-wave locality- and memory-aware device placement."""
+    """Greedy, wave-by-wave locality- and memory-aware device placement.
+
+    ``optimized`` (the default) forms each entry's candidates from per-island
+    free lists kept across a wave and scores them against each placed
+    group's member and island sets, so the cost follows the wave entries
+    rather than the device count.  ``optimized=False`` runs the reference
+    enumeration and scoring, which rescan every island and sort every free
+    device for each entry; it is kept so tests can prove both paths place
+    every entry identically.
+    """
 
     def __init__(
         self,
@@ -49,11 +106,13 @@ class LocalityAwarePlacer:
         memory_model: MemoryModel | None = None,
         memory_weight: float = 0.15,
         max_backtracks: int = 32,
+        optimized: bool = True,
     ) -> None:
         self.cluster = cluster
         self.memory_model = memory_model or MemoryModel()
         self.memory_weight = memory_weight
         self.max_backtracks = max_backtracks
+        self.optimized = optimized
         # Per-device capacity checks are only needed on mixed-HBM clusters;
         # the homogeneous fast path keeps the scoring loop a single compare.
         self._homogeneous = cluster.is_homogeneous
@@ -68,38 +127,49 @@ class LocalityAwarePlacer:
         self._class_islands = {
             cls.index: cls.islands for cls in cluster.spec_classes()
         }
+        # Built by the first optimized place() call and reused by later ones.
+        self._island_devices: tuple[tuple[int, ...], ...] | None = None
+        self._pools: dict[int | None, _IslandPool] = {}
 
     # ------------------------------------------------------------- public API
     def place(self, waves: Sequence[Wave], metagraph: MetaGraph) -> PlacementResult:
         result = PlacementResult()
-        states = {
-            device.device_id: _DeviceState(
-                memory_bytes=self.memory_model.framework_overhead()
-            )
-            for device in self.cluster.devices
-        }
-        last_devices: dict[int, tuple[int, ...]] = {}
+        memory = [self.memory_model.framework_overhead()] * self.cluster.num_devices
+        # Devices already holding each shared parameter key.
+        holders: dict[str, set[int]] = {}
+        last: dict[int, DeviceGroup] = {}
 
         for wave in waves:
-            free = set(range(self.cluster.num_devices))
+            if self.optimized:
+                free: _FreeLists | set[int] = _FreeLists(self._islands())
+            else:
+                free = set(range(self.cluster.num_devices))
             entries = sorted(
                 wave.entries,
-                key=lambda e: self._communication_priority(e, metagraph, last_devices),
+                key=lambda e: self._communication_priority(e, metagraph, last),
                 reverse=True,
             )
             for entry in entries:
-                devices = self._place_entry(
-                    entry, wave, metagraph, free, states, last_devices, result
-                )
+                if self.optimized:
+                    group = self._place_entry(
+                        entry, wave, metagraph, free, memory, last, result
+                    )
+                    free.take(group)
+                else:
+                    group = DeviceGroup.of(
+                        self.cluster,
+                        self._place_entry_reference(
+                            entry, wave, metagraph, free, memory, last, result
+                        ),
+                    )
+                    free -= group.members
+                devices = group.devices
                 entry.devices = devices
                 result.assignments[(wave.index, entry.metaop_index)] = devices
-                free -= set(devices)
-                last_devices[entry.metaop_index] = devices
-                self._charge_memory(entry, devices, metagraph, states)
+                last[entry.metaop_index] = group
+                self._charge_memory(entry, devices, metagraph, memory, holders)
 
-        result.device_memory_bytes = {
-            device_id: state.memory_bytes for device_id, state in states.items()
-        }
+        result.device_memory_bytes = dict(enumerate(memory))
         return result
 
     # -------------------------------------------------------------- heuristics
@@ -107,20 +177,168 @@ class LocalityAwarePlacer:
         self,
         entry: WaveEntry,
         metagraph: MetaGraph,
-        last_devices: dict[int, tuple[int, ...]],
+        last: dict[int, DeviceGroup],
     ) -> float:
         metaop = metagraph.metaop(entry.metaop_index)
         volume = 0.0
-        if entry.metaop_index in last_devices:
+        if entry.metaop_index in last:
             # Residual slice of the same MetaOp: activations of the previous
             # slice flow into this one.
             volume += metaop.representative.activation_bytes
         for pred in metagraph.predecessors(entry.metaop_index):
-            if pred in last_devices:
+            if pred in last:
                 volume += metagraph.edge_volume(pred, entry.metaop_index)
         return volume
 
-    def _candidate_blocks(
+    def _islands(self) -> tuple[tuple[int, ...], ...]:
+        if self._island_devices is None:
+            self._island_devices = tuple(map(tuple, self.cluster.islands()))
+        return self._island_devices
+
+    def _pool(self, spec_class: int | None) -> _IslandPool:
+        pool = self._pools.get(spec_class)
+        if pool is None:
+            if spec_class is None:
+                islands = tuple(range(self.cluster.num_nodes))
+                devices = None
+            else:
+                islands = tuple(sorted(self._class_islands[spec_class]))
+                devices = self._class_devices[spec_class]
+            sizes = self._islands()
+            pool = _IslandPool(
+                islands=islands,
+                island_set=frozenset(islands),
+                devices=devices,
+                largest_island=max(len(sizes[i]) for i in islands),
+            )
+            self._pools[spec_class] = pool
+        return pool
+
+    def _candidates(
+        self,
+        n: int,
+        pool: _IslandPool,
+        free: _FreeLists,
+        sources: list[DeviceGroup],
+    ) -> list[tuple[int, ...]]:
+        """Candidate device groups for an entry of ``n`` devices, best-first.
+
+        The same candidates, in the same order, as
+        :meth:`_candidate_blocks_reference`: the first ``n`` free devices the
+        entry's placed neighbours (``sources``) hold, then each island with
+        ``n`` free devices, then a spill over the islands in walk order.
+        """
+        taken = free.taken
+        preferred_devices = dict.fromkeys(
+            chain.from_iterable(group.devices for group in sources)
+        )
+        allowed = pool.devices
+        if allowed is None:
+            preferred_free = [d for d in preferred_devices if d not in taken]
+        else:
+            preferred_free = [
+                d for d in preferred_devices if d in allowed and d not in taken
+            ]
+        candidates: list[tuple[int, ...]] = []
+        if len(preferred_free) >= n:
+            candidates.append(tuple(preferred_free[:n]))
+
+        preferred = frozenset().union(*(group.islands for group in sources))
+        if allowed is not None:
+            preferred &= pool.island_set
+        if n <= pool.largest_island:
+            candidates.extend(
+                devices[:n] for devices in free.walk(pool, preferred) if len(devices) >= n
+            )
+        spill: list[int] = []
+        for devices in free.walk(pool, preferred):
+            spill.extend(devices[: n - len(spill)])
+            if len(spill) == n:
+                candidates.append(tuple(spill))
+                break
+        return list(dict.fromkeys(candidates))
+
+    def _place_entry(
+        self,
+        entry: WaveEntry,
+        wave: Wave,
+        metagraph: MetaGraph,
+        free: _FreeLists,
+        memory: list[float],
+        last: dict[int, DeviceGroup],
+        result: PlacementResult,
+    ) -> DeviceGroup:
+        if free.num_free < entry.n_devices:
+            raise PlacementError(
+                f"Wave {wave.index}: MetaOp {entry.metaop_index} needs "
+                f"{entry.n_devices} devices but only {free.num_free} are free"
+            )
+        metaop = metagraph.metaop(entry.metaop_index)
+        # Placed neighbours and the volume each sends: the previous slice of
+        # the same MetaOp first, then the predecessors in graph order.
+        sources: list[tuple[DeviceGroup, float]] = []
+        prev = last.get(entry.metaop_index)
+        if prev is not None:
+            sources.append((prev, metaop.representative.activation_bytes))
+        for pred in metagraph.predecessors(entry.metaop_index):
+            group = last.get(pred)
+            if group is not None:
+                sources.append((group, metagraph.edge_volume(pred, entry.metaop_index)))
+
+        candidates = self._candidates(
+            entry.n_devices,
+            self._pool(entry.spec_class),
+            free,
+            [group for group, _ in sources],
+        )
+        if not candidates:
+            raise PlacementError(
+                f"No candidate device block of size {entry.n_devices} for MetaOp "
+                f"{entry.metaop_index} in wave {wave.index}"
+            )
+
+        cluster = self.cluster
+        per_device_bytes = self._entry_device_bytes(entry, metaop)
+        capacity = cluster.min_memory_bytes
+        scored: list[tuple[float, bool, float, DeviceGroup]] = []
+        for devices in candidates:
+            target = DeviceGroup.of(cluster, devices)
+            comm = 0.0
+            for source, volume in sources:
+                comm += link_transfer_time(
+                    cluster, group_link(source, target), source, target, volume
+                )
+            # Float addition is monotonic, so this equals the largest
+            # per-device projection.
+            peak = max(map(memory.__getitem__, devices)) + per_device_bytes
+            if self._homogeneous:
+                fits = peak <= capacity
+            else:
+                fits = all(
+                    memory[d] + per_device_bytes <= cluster.spec_of(d).memory_bytes
+                    for d in devices
+                )
+            score = comm + self.memory_weight * (peak / capacity) * max(comm, 1e-6)
+            scored.append((score, fits, peak, target))
+
+        feasible = [item for item in scored if item[1]]
+        if feasible:
+            return min(feasible, key=lambda item: item[0])[3]
+        self._record_oom(wave, entry, result)
+        return min(scored, key=lambda item: item[2])[3]
+
+    def _record_oom(self, wave: Wave, entry: WaveEntry, result: PlacementResult) -> None:
+        """All candidates would exceed memory: record the OOM; the caller picks
+        the lowest projected peak (best memory balance, §3.5 backtracking)."""
+        result.oom_events.append((wave.index, entry.metaop_index))
+        result.backtracks += 1
+        if result.backtracks > self.max_backtracks:
+            raise PlacementError(
+                "Exceeded backtracking budget while balancing device memory"
+            )
+
+    # ------------------------------------------------------ reference path
+    def _candidate_blocks_reference(
         self,
         entry: WaveEntry,
         free: set[int],
@@ -172,14 +390,14 @@ class LocalityAwarePlacer:
                 seen.add(cand)
         return unique
 
-    def _place_entry(
+    def _place_entry_reference(
         self,
         entry: WaveEntry,
         wave: Wave,
         metagraph: MetaGraph,
         free: set[int],
-        states: dict[int, _DeviceState],
-        last_devices: dict[int, tuple[int, ...]],
+        memory: list[float],
+        last: dict[int, DeviceGroup],
         result: PlacementResult,
     ) -> tuple[int, ...]:
         if len(free) < entry.n_devices:
@@ -188,11 +406,12 @@ class LocalityAwarePlacer:
                 f"{entry.n_devices} devices but only {len(free)} are free"
             )
         metaop = metagraph.metaop(entry.metaop_index)
+        last_devices = {index: group.devices for index, group in last.items()}
         preferred: list[int] = list(last_devices.get(entry.metaop_index, ()))
         for pred in metagraph.predecessors(entry.metaop_index):
             preferred.extend(last_devices.get(pred, ()))
 
-        candidates = self._candidate_blocks(entry, free, preferred)
+        candidates = self._candidate_blocks_reference(entry, free, preferred)
         if not candidates:
             raise PlacementError(
                 f"No candidate device block of size {entry.n_devices} for MetaOp "
@@ -207,8 +426,10 @@ class LocalityAwarePlacer:
         # fit check is the single peak compare this hot loop always had.
         capacity = self.cluster.min_memory_bytes
         for devices in candidates:
-            comm = self._transfer_cost(entry, metaop, metagraph, devices, last_devices)
-            projected = [states[d].memory_bytes + per_device_bytes for d in devices]
+            comm = self._transfer_cost_reference(
+                entry, metaop, metagraph, devices, last_devices
+            )
+            projected = [memory[d] + per_device_bytes for d in devices]
             peak = max(projected)
             if self._homogeneous:
                 fits = peak <= capacity
@@ -225,23 +446,14 @@ class LocalityAwarePlacer:
             feasible.sort(key=lambda item: item[0])
             return feasible[0][2]
 
-        # All candidates would exceed memory: record the OOM, pick the one with
-        # the lowest projected peak (best memory balance, §3.5 backtracking).
-        result.oom_events.append((wave.index, entry.metaop_index))
-        result.backtracks += 1
-        if result.backtracks > self.max_backtracks:
-            raise PlacementError(
-                "Exceeded backtracking budget while balancing device memory"
-            )
+        self._record_oom(wave, entry, result)
         best = min(
             scored,
-            key=lambda item: max(
-                states[d].memory_bytes + per_device_bytes for d in item[2]
-            ),
+            key=lambda item: max(memory[d] + per_device_bytes for d in item[2]),
         )
         return best[2]
 
-    def _transfer_cost(
+    def _transfer_cost_reference(
         self,
         entry: WaveEntry,
         metaop,
@@ -266,6 +478,7 @@ class LocalityAwarePlacer:
                 )
         return cost
 
+    # ------------------------------------------------------------ memory
     def _entry_device_bytes(self, entry: WaveEntry, metaop) -> float:
         op = metaop.representative
         per_layer = self.memory_model.operator_device_bytes(op, entry.n_devices)
@@ -276,22 +489,28 @@ class LocalityAwarePlacer:
         entry: WaveEntry,
         devices: tuple[int, ...],
         metagraph: MetaGraph,
-        states: dict[int, _DeviceState],
+        memory: list[float],
+        holders: dict[str, set[int]],
     ) -> None:
-        metaop = metagraph.metaop(entry.metaop_index)
-        op = metaop.representative
+        op = metagraph.metaop(entry.metaop_index).representative
         param_bytes = self.memory_model.parameter_state_bytes(op, entry.n_devices)
         act_bytes = self.memory_model.activation_bytes(op, entry.n_devices)
-        key = op.param_key
+        param_total = param_bytes * entry.layers
+        act_total = act_bytes * entry.layers
+        # Parameters shared across tasks (same param_key) are stored once per
+        # device; activations accumulate for every executed layer.
+        if op.param_key is None:
+            fresh: Sequence[int] = devices
+        else:
+            held = holders.setdefault(op.param_key, set())
+            fresh = [d for d in devices if d not in held]
+            held.update(fresh)
+        # Each device adds its parameters before its activations, as one
+        # interleaved loop would.
+        for device in fresh:
+            memory[device] += param_total
         for device in devices:
-            state = states[device]
-            # Parameters shared across tasks (same param_key) are stored once
-            # per device; activations accumulate for every executed layer.
-            if key is None or key not in state.param_keys:
-                state.memory_bytes += param_bytes * entry.layers
-                if key is not None:
-                    state.param_keys.add(key)
-            state.memory_bytes += act_bytes * entry.layers
+            memory[device] += act_total
 
 
 class SequentialPlacer:

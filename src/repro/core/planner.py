@@ -91,7 +91,8 @@ class ExecutionPlanner:
         spec_aware: bool = True,
     ) -> None:
         """``optimized`` selects the vectorized hot path (cached allocation
-        grids, estimator curve memoization, table-driven bisection); the
+        grids, estimator curve memoization, table-driven bisection,
+        per-island free lists in placement); the
         ``False`` setting runs the reference implementations instead and
         exists so plan-equivalence tests can prove both paths emit identical
         plans.  The flag never affects plan contents and is therefore not part
@@ -137,7 +138,9 @@ class ExecutionPlanner:
             allocation_grid=self.allocation_grid,
         )
         if placement_strategy == "locality":
-            self.placer = LocalityAwarePlacer(cluster, self.memory_model)
+            self.placer = LocalityAwarePlacer(
+                cluster, self.memory_model, optimized=optimized
+            )
         else:
             self.placer = SequentialPlacer(cluster, self.memory_model)
         self.placement_strategy = placement_strategy

@@ -15,6 +15,7 @@ island, inter-island InfiniBand).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -29,22 +30,43 @@ class LinkClass(Enum):
     INTER_ISLAND = "inter_island"
 
 
+@dataclass(frozen=True)
+class DeviceGroup:
+    """A device group with its member and island sets, built once.
+
+    Every transfer into or out of a placed group compares these two sets, so
+    the placer and the runtime engine build one ``DeviceGroup`` per placed
+    wave entry instead of recomputing the sets for each transfer.
+    """
+
+    devices: tuple[int, ...]
+    members: frozenset[int]
+    islands: frozenset[int]
+
+    @classmethod
+    def of(cls, cluster: ClusterTopology, devices: Sequence[int]) -> "DeviceGroup":
+        devices = tuple(devices)
+        return cls(devices, frozenset(devices), cluster.islands_of(devices))
+
+
+def group_link(src: DeviceGroup, dst: DeviceGroup) -> LinkClass:
+    """Classify the slowest link a transfer between two device groups crosses."""
+    if not src.members or not dst.members:
+        raise ValueError("Device groups must not be empty")
+    if src.members == dst.members:
+        return LinkClass.INTRA_DEVICE
+    if len(src.islands) == 1 and src.islands == dst.islands:
+        return LinkClass.INTRA_ISLAND
+    return LinkClass.INTER_ISLAND
+
+
 def classify_link(
     cluster: ClusterTopology, src_devices: Sequence[int], dst_devices: Sequence[int]
 ) -> LinkClass:
     """Classify the slowest link a transfer between two device groups crosses."""
-    src = list(src_devices)
-    dst = list(dst_devices)
-    if not src or not dst:
-        raise ValueError("Device groups must not be empty")
-    if set(src) & set(dst) and set(src) | set(dst) == set(src) & set(dst):
-        return LinkClass.INTRA_DEVICE
-    islands = {cluster.island_of(d) for d in src} | {cluster.island_of(d) for d in dst}
-    if len(islands) == 1:
-        if set(src) == set(dst):
-            return LinkClass.INTRA_DEVICE
-        return LinkClass.INTRA_ISLAND
-    return LinkClass.INTER_ISLAND
+    return group_link(
+        DeviceGroup.of(cluster, src_devices), DeviceGroup.of(cluster, dst_devices)
+    )
 
 
 def link_spec(cluster: ClusterTopology, link: LinkClass) -> InterconnectSpec:
@@ -130,6 +152,23 @@ def group_transfer_time(
         raise ValueError("volume must be non-negative")
     if volume_bytes == 0:
         return 0.0
-    link = link_spec(cluster, classify_link(cluster, src_devices, dst_devices))
-    parallelism = max(1, min(len(set(src_devices)), len(set(dst_devices))))
-    return p2p_time(volume_bytes / parallelism, link)
+    src = DeviceGroup.of(cluster, src_devices)
+    dst = DeviceGroup.of(cluster, dst_devices)
+    return link_transfer_time(cluster, group_link(src, dst), src, dst, volume_bytes)
+
+
+def link_transfer_time(
+    cluster: ClusterTopology,
+    link: LinkClass,
+    src: DeviceGroup,
+    dst: DeviceGroup,
+    volume_bytes: float,
+) -> float:
+    """:func:`group_transfer_time` between groups whose link class is known."""
+    if volume_bytes < 0:
+        raise ValueError("volume must be non-negative")
+    if volume_bytes == 0:
+        return 0.0
+    parallelism = max(1, min(len(src.members), len(dst.members)))
+    return p2p_time(volume_bytes / parallelism, link_spec(cluster, link))
+

@@ -49,25 +49,42 @@ class ParameterDeviceGroupPool:
     @classmethod
     def from_plan(cls, plan: ExecutionPlan) -> "ParameterDeviceGroupPool":
         """Scan the execution plan and build the parameter device group pool."""
-        key_devices: dict[str, set[int]] = {}
+        # Each key's device set is the union of the groups of the entries
+        # whose operators use it.  Keys are recorded against entry numbers;
+        # every distinct list of entries is unioned once, instead of adding an
+        # entry's devices to the pool again for each of its operators.
+        entry_devices: list[tuple[int, ...]] = []
+        key_entries: dict[str, list[int]] = {}
         key_bytes: dict[str, float] = {}
         for wave in plan.waves:
             for entry in wave.entries:
                 metaop = plan.metagraph.metaop(entry.metaop_index)
-                devices = plan.placement.devices_for(wave.index, entry.metaop_index)
+                number = len(entry_devices)
+                entry_devices.append(
+                    plan.placement.devices_for(wave.index, entry.metaop_index)
+                )
                 for op in metaop.operator_slice(entry.operator_offset, entry.layers):
                     if op.param_key is None or op.param_bytes == 0:
                         continue
-                    key_devices.setdefault(op.param_key, set()).update(devices)
+                    numbers = key_entries.setdefault(op.param_key, [])
+                    if not numbers or numbers[-1] != number:
+                        numbers.append(number)
                     # Operators sharing a key are instances of the same
                     # parameters; their sizes coincide, keep the largest.
                     key_bytes[op.param_key] = max(
                         key_bytes.get(op.param_key, 0.0), op.param_bytes
                     )
 
+        unions: dict[tuple[int, ...], tuple[int, ...]] = {}
         by_group: dict[tuple[int, ...], list[str]] = {}
-        for key, devices in key_devices.items():
-            group = tuple(sorted(devices))
+        for key, numbers in key_entries.items():
+            signature = tuple(numbers)
+            group = unions.get(signature)
+            if group is None:
+                group = tuple(
+                    sorted(set().union(*(entry_devices[n] for n in signature)))
+                )
+                unions[signature] = group
             by_group.setdefault(group, []).append(key)
 
         groups = [

@@ -61,14 +61,12 @@ class WaveExecutionSimulator:
         # The transmission list is immutable per plan, so the per-boundary
         # grouping and each boundary's critical-path duration are computed
         # once here instead of on every simulated iteration.
-        self._boundary_transmissions: dict[int, list[TransmissionOp]] = {}
+        by_boundary: dict[int, list[TransmissionOp]] = {}
         for t in transmissions:
-            self._boundary_transmissions.setdefault(
-                t.boundary_after_wave, []
-            ).append(t)
+            by_boundary.setdefault(t.boundary_after_wave, []).append(t)
         self._boundary_durations = {
             boundary: self._boundary_duration(grouped)
-            for boundary, grouped in self._boundary_transmissions.items()
+            for boundary, grouped in by_boundary.items()
         }
 
     def run_iteration(self) -> IterationResult:
@@ -96,6 +94,7 @@ class WaveExecutionSimulator:
             for wave in self.plan.waves:
                 wave_start = current_time
                 compute_duration = 0.0
+                label = f"wave{wave.index}"
                 with tracer.span(
                     "simulator.wave", category="simulator", wave=wave.index
                 ) as wave_span:
@@ -117,16 +116,14 @@ class WaveExecutionSimulator:
                         achieved = self.timing_model.achieved_flops_per_second(
                             metaop.representative, entry.n_devices, pacing_flops=pacing
                         )
-                        per_device_flops = achieved / max(1, entry.n_devices)
-                        for device in devices:
-                            trace.add_busy(
-                                device_id=device,
-                                start=wave_start,
-                                duration=entry_time,
-                                flops_per_second=per_device_flops,
-                                metaop_index=entry.metaop_index,
-                                label=f"wave{wave.index}",
-                            )
+                        trace.add_block(
+                            devices,
+                            start=wave_start,
+                            duration=entry_time,
+                            flops_per_second=achieved / max(1, entry.n_devices),
+                            metaop_index=entry.metaop_index,
+                            label=label,
+                        )
                     boundary_duration = self._boundary_durations.get(wave.index, 0.0)
                     # The simulated wave duration (compute + boundary), not the
                     # wall time of simulating it, is the observed quantity.
@@ -171,10 +168,6 @@ class WaveExecutionSimulator:
         )
 
     # ----------------------------------------------------------------- helpers
-    def _transmissions_by_boundary(self) -> dict[int, list[TransmissionOp]]:
-        """Transmissions grouped by boundary (precomputed at construction)."""
-        return self._boundary_transmissions
-
     @staticmethod
     def _boundary_duration(transmissions: list[TransmissionOp]) -> float:
         """Critical-path duration of the transfers at one wave boundary.

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
-from repro.costmodel.comm import LinkClass, classify_link, group_transfer_time
+from repro.costmodel.comm import DeviceGroup, LinkClass, group_link, link_transfer_time
 
 
 @dataclass(frozen=True)
@@ -66,32 +66,35 @@ def build_transmissions(
     passes = 2.0 if include_backward else 1.0
     transmissions: list[TransmissionOp] = []
 
-    # Wave entries of each MetaOp in execution order.
-    slices: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    # Wave entries of each MetaOp in execution order, each placed group's
+    # member and island sets built once for every transfer it takes part in.
+    slices: dict[int, list[tuple[int, DeviceGroup]]] = {}
     for wave in plan.waves:
         for entry in wave.entries:
             devices = plan.placement.devices_for(wave.index, entry.metaop_index)
-            slices.setdefault(entry.metaop_index, []).append((wave.index, devices))
+            slices.setdefault(entry.metaop_index, []).append(
+                (wave.index, DeviceGroup.of(cluster, devices))
+            )
 
     def add(
         boundary: int,
         src_meta: int,
         dst_meta: int,
-        src_devices: tuple[int, ...],
-        dst_devices: tuple[int, ...],
+        src: DeviceGroup,
+        dst: DeviceGroup,
         volume: float,
     ) -> None:
         if volume <= 0:
             return
-        link = classify_link(cluster, src_devices, dst_devices)
-        time = passes * group_transfer_time(cluster, src_devices, dst_devices, volume)
+        link = group_link(src, dst)
+        time = passes * link_transfer_time(cluster, link, src, dst, volume)
         transmissions.append(
             TransmissionOp(
                 boundary_after_wave=boundary,
                 src_metaop=src_meta,
                 dst_metaop=dst_meta,
-                src_devices=src_devices,
-                dst_devices=dst_devices,
+                src_devices=src.devices,
+                dst_devices=dst.devices,
                 volume_bytes=volume,
                 link=link,
                 time_seconds=time,
@@ -102,13 +105,13 @@ def build_transmissions(
     for metaop_index, entries in slices.items():
         metaop = plan.metagraph.metaop(metaop_index)
         residual_volume = metaop.representative.activation_bytes
-        for (src_wave, src_devices), (_, dst_devices) in zip(entries, entries[1:]):
+        for (src_wave, src), (_, dst) in zip(entries, entries[1:]):
             add(
                 boundary=src_wave,
                 src_meta=metaop_index,
                 dst_meta=metaop_index,
-                src_devices=src_devices,
-                dst_devices=dst_devices,
+                src=src,
+                dst=dst,
                 volume=residual_volume,
             )
 
@@ -116,14 +119,14 @@ def build_transmissions(
     for (src_meta, dst_meta), volume in plan.metagraph.edges.items():
         if src_meta not in slices or dst_meta not in slices:
             continue
-        src_wave, src_devices = slices[src_meta][-1]
-        _, dst_devices = slices[dst_meta][0]
+        src_wave, src = slices[src_meta][-1]
+        _, dst = slices[dst_meta][0]
         add(
             boundary=src_wave,
             src_meta=src_meta,
             dst_meta=dst_meta,
-            src_devices=src_devices,
-            dst_devices=dst_devices,
+            src=src,
+            dst=dst,
             volume=volume,
         )
 

@@ -1,7 +1,11 @@
 """Unit tests for device placement (§3.5)."""
 
+import copy
+
 import pytest
 
+from repro.cluster.device import A800_SPEC
+from repro.cluster.topology import make_cluster, make_heterogeneous_cluster
 from repro.core.allocator import ResourceAllocator
 from repro.core.contraction import contract_graph
 from repro.core.estimator import ScalabilityEstimator
@@ -105,6 +109,32 @@ class TestLocalityAwarePlacer:
         placement = placer.place(schedule.waves, metagraph)
         assert placement.oom_events
         assert placement.backtracks > 0
+
+    @pytest.mark.parametrize(
+        "cluster",
+        [
+            make_cluster(32, devices_per_node=4),
+            make_heterogeneous_cluster([A800_SPEC] * 6, island_sizes=(3, 8, 1, 5, 8, 2)),
+        ],
+        ids=["uniform", "irregular"],
+    )
+    @pytest.mark.parametrize("multiplier", [1.0, 1e3, 1e7])
+    def test_optimized_matches_reference(self, cluster, tiny_tasks, multiplier):
+        """Free-list candidates score and choose exactly as the reference
+        rescans do, including the lowest-peak choice once nothing fits."""
+        metagraph, schedule = build_schedule(cluster, tiny_tasks)
+        memory = MemoryModel(MemoryModelConfig(activation_multiplier=multiplier))
+        results = []
+        for optimized in (True, False):
+            placer = LocalityAwarePlacer(
+                cluster, memory, max_backtracks=10_000, optimized=optimized
+            )
+            results.append(placer.place(copy.deepcopy(schedule.waves), metagraph))
+        fast, reference = results
+        assert fast.assignments == reference.assignments
+        assert fast.device_memory_bytes == reference.device_memory_bytes
+        assert fast.oom_events == reference.oom_events
+        assert fast.backtracks == reference.backtracks
 
     def test_memory_imbalance_metric(self, planned):
         cluster, metagraph, schedule = planned

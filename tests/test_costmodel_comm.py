@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.cluster.topology import InterconnectSpec
+from repro.cluster.topology import InterconnectSpec, TopologyError
 from repro.costmodel.comm import (
+    DeviceGroup,
     LinkClass,
     all_gather_time,
     classify_link,
@@ -106,3 +107,18 @@ class TestGroupPrimitives:
         assert group_transfer_time(two_island_cluster, [0], [1], 0.0) == 0.0
         with pytest.raises(ValueError):
             group_transfer_time(two_island_cluster, [0], [1], -1.0)
+
+
+class TestDeviceGroups:
+    def test_group_carries_member_and_island_sets(self, two_island_cluster):
+        group = DeviceGroup.of(two_island_cluster, [5, 0, 5])
+        assert group.devices == (5, 0, 5)
+        assert group.members == {0, 5}
+        assert group.islands == {0, 1}
+
+    def test_group_rejects_out_of_range_devices(self, two_island_cluster):
+        with pytest.raises(TopologyError):
+            DeviceGroup.of(two_island_cluster, [0, 8])
+        with pytest.raises(TopologyError):
+            DeviceGroup.of(two_island_cluster, [-1])
+
