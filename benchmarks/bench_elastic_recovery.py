@@ -1,8 +1,8 @@
 """Elastic recovery: seeded device failures with event-driven replanning.
 
 Replays a seeded random-failure scenario (failures with later recovery) for
-Multitask-CLIP on 16 GPUs through the elastic training runner: capacity-loss
-events force a replan routed through the per-topology incremental planner and
+Multitask-CLIP on 16 GPUs through the unified runner, as a fixed task set
+under cluster events only: capacity-loss events force a replan routed through the per-topology incremental planner and
 the shared plan cache; recoveries ride the slowdown-threshold policy.  The
 gated metrics are fully deterministic — simulated iteration times, the
 charged replan cost model, and the migration cost model — so a change that
@@ -14,14 +14,10 @@ from bench_utils import emit
 
 from repro.bench import Metric, informational, invariant, register_benchmark
 from repro.cluster.device import A800_SPEC
-from repro.elastic import (
-    ElasticScenario,
-    ElasticTrainingRunner,
-    SlowdownThresholdPolicy,
-    random_failure_timeline,
-)
+from repro.elastic import SlowdownThresholdPolicy, random_failure_timeline
 from repro.experiments.reporting import render_elastic_result
 from repro.experiments.workloads import clip_workload
+from repro.unified import UnifiedRunner, UnifiedScenario, UnifiedTimeline
 
 WORKLOAD = clip_workload(4, 16)
 TOTAL_ITERATIONS = 200
@@ -29,7 +25,7 @@ NUM_FAILURES = 3
 SEED = 0
 
 
-def _scenario() -> ElasticScenario:
+def _scenario(tasks) -> UnifiedScenario:
     num_nodes, per_node = 2, 8
     timeline = random_failure_timeline(
         num_nodes=num_nodes,
@@ -38,21 +34,24 @@ def _scenario() -> ElasticScenario:
         num_failures=NUM_FAILURES,
         seed=SEED,
     )
-    return ElasticScenario(
+    names = tuple(task.name for task in tasks)
+    return UnifiedScenario(
         num_nodes=num_nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
-        timeline=timeline,
+        timeline=UnifiedTimeline(cluster_events=timeline),
         total_iterations=TOTAL_ITERATIONS,
+        task_pool=dict(zip(names, tasks)),
+        initial_tasks=names,
         name=f"random-failures-seed{SEED}",
     )
 
 
 def _run(tasks):
-    runner = ElasticTrainingRunner(
-        _scenario(), policy=SlowdownThresholdPolicy(threshold=0.1)
+    runner = UnifiedRunner(
+        _scenario(tasks), policy=SlowdownThresholdPolicy(threshold=0.1)
     )
-    return runner.run(tasks)
+    return runner.run()
 
 
 @register_benchmark(

@@ -290,12 +290,9 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.cluster.device import A800_SPEC
-    from repro.elastic import (
-        ElasticScenario,
-        ElasticTrainingRunner,
-        make_policy,
-    )
+    from repro.elastic import MigrationCostModel, make_policy
     from repro.experiments.reporting import render_elastic_result
+    from repro.unified import UnifiedRunner, UnifiedScenario, UnifiedTimeline
 
     if args.iterations <= 1:
         return _fail("--iterations must exceed 1")
@@ -323,27 +320,27 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
 
     workload = _workload_from_args(args)
     tasks = workload.tasks()
+    names = tuple(task.name for task in tasks)
     timeline = _elastic_timeline(args, num_nodes, per_node)
-    scenario = ElasticScenario(
+    scenario = UnifiedScenario(
         num_nodes=num_nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
-        timeline=timeline,
+        timeline=UnifiedTimeline(cluster_events=timeline),
         total_iterations=args.iterations,
+        task_pool=dict(zip(names, tasks)),
+        initial_tasks=names,
         name=f"{args.scenario}-seed{args.seed}",
     )
     policy = make_policy(
         args.policy, min_groups=args.debounce, threshold=args.threshold
     )
-    from repro.elastic import MigrationCostModel
-
     migration_model = MigrationCostModel(
         checkpoint_interval=args.checkpoint_interval
     )
-    runner = ElasticTrainingRunner(
+    result = UnifiedRunner(
         scenario, policy=policy, migration_model=migration_model
-    )
-    result = runner.run(tasks)
+    ).run()
 
     document = result.to_document()
     document["workload"] = workload.describe()

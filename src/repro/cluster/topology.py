@@ -450,7 +450,7 @@ class ClusterTopology:
 
         Keys everything that must never survive a substrate change: the
         estimator's fitted-curve cache, curve pools, and the per-topology
-        planner map of the elastic runner.  Two independently constructed but
+        planner map of the unified runner.  Two independently constructed but
         structurally identical topologies share one signature.
         """
         if self._signature is None:

@@ -18,7 +18,7 @@ report, the metrics registry and an exported trace share one clock window.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.allocator import (
@@ -50,9 +50,6 @@ from repro.graph.task import SpindleTask
 from repro.obs import get_metrics, get_tracer
 
 PlannerInput = Union[ComputationGraph, Sequence[SpindleTask]]
-
-#: Observer invoked after each planning stage with ``(stage_name, seconds)``.
-StageHook = Callable[[str, float], None]
 
 
 def _function_signature(fn: Any) -> str:
@@ -151,7 +148,6 @@ class ExecutionPlanner:
         workload: PlannerInput,
         *,
         precomputed_curves: Mapping[CurveKey, ScalingCurve] | None = None,
-        stage_hook: StageHook | None = None,
         fingerprint: str | None = None,
     ) -> ExecutionPlan:
         """Produce the full Spindle execution plan for ``workload``.
@@ -163,9 +159,6 @@ class ExecutionPlanner:
             :func:`~repro.core.estimator.metaop_curve_key`; MetaOps with a
             matching key skip the (dominant) profiling/fitting step.  Curves
             must come from the same cluster and planner configuration.
-        stage_hook:
-            Called with ``(stage_name, seconds)`` after each pipeline stage,
-            so callers can observe planning progress without re-timing it.
         fingerprint:
             The workload's canonical fingerprint, if the caller (a plan cache
             or service) already computed it; omitted, it is derived here.
@@ -173,7 +166,6 @@ class ExecutionPlanner:
         return self._solve(
             workload,
             precomputed_curves=precomputed_curves,
-            stage_hook=stage_hook,
             fingerprint=fingerprint,
             previous=None,
         )
@@ -184,7 +176,6 @@ class ExecutionPlanner:
         *,
         previous: ExecutionPlan | None,
         precomputed_curves: Mapping[CurveKey, ScalingCurve] | None = None,
-        stage_hook: StageHook | None = None,
         fingerprint: str | None = None,
     ) -> ExecutionPlan:
         """Plan ``workload``, reusing solved pieces of ``previous`` when sound.
@@ -222,7 +213,6 @@ class ExecutionPlanner:
         return self._solve(
             workload,
             precomputed_curves=precomputed_curves,
-            stage_hook=stage_hook,
             fingerprint=fingerprint,
             previous=previous,
         )
@@ -232,7 +222,6 @@ class ExecutionPlanner:
         workload: PlannerInput,
         *,
         precomputed_curves: Mapping[CurveKey, ScalingCurve] | None,
-        stage_hook: StageHook | None,
         fingerprint: str | None,
         previous: ExecutionPlan | None,
     ) -> ExecutionPlan:
@@ -241,13 +230,11 @@ class ExecutionPlanner:
         metrics = get_metrics()
 
         def finish_stage(name: str, span) -> None:
-            # Span, report and hook all observe the *same* clock window, so
+            # Span, report and metric all observe the *same* clock window, so
             # the trace and the reported timings can never disagree.
             seconds = span.seconds
             report.stage_seconds[name] = seconds
             metrics.observe("planner.solve_seconds", seconds, stage=name)
-            if stage_hook is not None:
-                stage_hook(name, seconds)
 
         if fingerprint is None:
             fingerprint = self._fingerprint(workload)

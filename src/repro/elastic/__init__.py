@@ -11,11 +11,12 @@ evaluate such scenarios on the simulated substrate:
   :class:`~repro.cluster.topology.ClusterTopology` after each event,
 * :mod:`repro.elastic.policy` — replan policies (immediate, debounced,
   slowdown-threshold),
-* :mod:`repro.elastic.migration` — the plan-migration cost model (parameter
-  re-shard transfers + checkpoint restores),
-* :mod:`repro.elastic.runner` — the elastic training runner producing
-  cumulative-training-time curves with per-event replan/migration overhead
-  breakdowns, reproducibly (identical seeds, byte-identical reports).
+* :mod:`repro.elastic.migration` — the plan-switch cost models: migration
+  (parameter re-shard transfers + checkpoint restores) and replanning.
+
+Runs are driven by :class:`repro.unified.UnifiedRunner`: an elastic run is a
+:class:`~repro.unified.UnifiedScenario` whose timeline holds cluster events
+only (``UnifiedTimeline(cluster_events=...)``) over a fixed task set.
 """
 
 from repro.elastic.events import (
@@ -41,6 +42,7 @@ from repro.elastic.migration import (
     MigrationCostModel,
     MigrationGroup,
     MigrationReport,
+    ReplanCostModel,
 )
 from repro.elastic.policy import (
     POLICY_NAMES,
@@ -51,16 +53,6 @@ from repro.elastic.policy import (
     SlowdownThresholdPolicy,
     forgone_capacity_gain,
     make_policy,
-)
-from repro.elastic.runner import (
-    ElasticRunError,
-    ElasticRunResult,
-    ElasticScenario,
-    ElasticSegment,
-    ElasticTrainingRunner,
-    EventOutcome,
-    ReplanCostModel,
-    ReplanRecord,
 )
 from repro.elastic.view import (
     ElasticClusterView,
@@ -77,15 +69,9 @@ __all__ = [
     "DebouncedReplanPolicy",
     "ElasticClusterView",
     "ElasticEventError",
-    "ElasticRunError",
-    "ElasticRunResult",
-    "ElasticScenario",
-    "ElasticSegment",
     "ElasticSnapshot",
-    "ElasticTrainingRunner",
     "ElasticViewError",
     "EVENT_KINDS",
-    "EventOutcome",
     "EventTimeline",
     "ImmediateReplanPolicy",
     "MigrationCostModel",
@@ -97,7 +83,6 @@ __all__ = [
     "ReplanContext",
     "ReplanCostModel",
     "ReplanPolicy",
-    "ReplanRecord",
     "STRAGGLER_CLEAR",
     "STRAGGLER_ONSET",
     "SlowdownThresholdPolicy",

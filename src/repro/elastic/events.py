@@ -176,21 +176,6 @@ class EventTimeline:
     def last_iteration(self) -> int:
         return self.events[-1].at_iteration if self.events else 0
 
-    def grouped_by_iteration(self) -> list[tuple[int, list[ClusterEvent]]]:
-        """``(iteration, events)`` groups in iteration order.
-
-        The elastic runner applies each group atomically and makes one replan
-        decision per group — simultaneous events (an island outage) trigger
-        one replan, not eight.
-        """
-        groups: list[tuple[int, list[ClusterEvent]]] = []
-        for event in self.events:
-            if groups and groups[-1][0] == event.at_iteration:
-                groups[-1][1].append(event)
-            else:
-                groups.append((event.at_iteration, [event]))
-        return groups
-
     def to_document(self) -> list[dict[str, Any]]:
         return [event.to_document() for event in self.events]
 

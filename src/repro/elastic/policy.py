@@ -15,7 +15,7 @@ or keep running the current plan:
 
 Capacity-loss events (device failure, node leave) bypass the policy entirely:
 the old plan references devices that no longer exist, so the runner always
-replans those (see :mod:`repro.elastic.runner`).
+replans those (see :mod:`repro.unified.runtime`).
 
 The slowdown estimate is deliberately first-order and topology-only — it must
 be computable without running the planner.  Two effects are folded in:

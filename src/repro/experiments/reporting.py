@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.result import BenchResult
-    from repro.elastic.runner import ElasticRunResult
+    from repro.unified.runtime import UnifiedRunResult
 
 #: Directory (relative to the working directory) where benchmark modules drop
 #: their paper-style tables; override with the ``REPRO_REPORT_DIR`` variable.
@@ -113,7 +113,7 @@ def render_bench_result(result: "BenchResult") -> str:
     return format_table(["metric", "value", "unit", "better", "gate"], rows, title=title)
 
 
-def render_elastic_result(result: "ElasticRunResult") -> str:
+def render_elastic_result(result: "UnifiedRunResult") -> str:
     """Render an elastic run as paper-style tables (events, then totals).
 
     Deliberately built only from the run's *deterministic* quantities (the
@@ -123,7 +123,7 @@ def render_elastic_result(result: "ElasticRunResult") -> str:
     """
     event_rows = []
     for outcome in result.outcomes:
-        labels = ", ".join(event.describe() for event in outcome.events)
+        labels = ", ".join(event.describe() for event in outcome.cluster_events)
         if outcome.replanned:
             action = "replan (forced)" if outcome.forced else "replan"
             if outcome.replan is not None and outcome.replan.cache_hit:

@@ -2,7 +2,7 @@
 
 ``repro.obs`` is the shared instrumentation substrate of the reproduction.
 It deliberately depends on nothing else in the package (the planner, service,
-elastic runner and simulator all import it), and it stays out of the way when
+unified runner and simulator all import it), and it stays out of the way when
 unused: the default tracer is disabled unless ``REPRO_OBS`` is set or a
 caller enables it, and a disabled span is a stateless no-op singleton.
 

@@ -8,7 +8,7 @@ their phases in context-manager *spans*:
         ...
 
 Spans nest through a **thread-local** stack, so the plan service's worker
-pool, the elastic runner and the benchmark harness all trace correctly under
+pool, the unified runner and the benchmark harness all trace correctly under
 concurrency: a worker thread's spans parent onto that worker's own open span,
 never onto another thread's.  Finished spans are appended to a shared record
 list as immutable :class:`SpanRecord` values, ready for the Chrome

@@ -14,8 +14,8 @@ instead of recomputed serially:
   retries, deadlines, circuit breaking, load shedding and graceful
   degradation,
 * :mod:`repro.service.fleet` — a fingerprint-range-sharded fleet of plan
-  services behind one routing front end, with a lock-striped shared cache
-  and per-shard store partitions,
+  services behind one routing front end, with one shared cache and
+  per-shard store partitions,
 * :mod:`repro.service.resilience` — the resilience policy, circuit breaker
   and per-request :class:`~repro.service.resilience.PlanResponse` record,
 * :mod:`repro.service.store` — a crash-safe persistent plan store (atomic
@@ -39,7 +39,6 @@ from repro.service.fingerprint import (
 from repro.service.fleet import (
     FleetError,
     PlanServiceFleet,
-    StripedPlanCache,
     jump_consistent_hash,
     shard_for_fingerprint,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "StaleTopologyError",
     "StoreError",
     "StoreLoadResult",
-    "StripedPlanCache",
     "TIER_CACHE",
     "TIER_FRESH",
     "TIER_INCREMENTAL",

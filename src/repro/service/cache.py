@@ -38,7 +38,6 @@ was planned first.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import threading
 import time
@@ -107,9 +106,6 @@ class _CacheEntry:
     payload: Optional[str] = None
     checksum: Optional[str] = None
     hits: int = field(default=0)
-    #: Monotonic recency stamp (shared across the stripes of a striped
-    #: cache); the entry with the smallest stamp is the global LRU victim.
-    stamp: int = field(default=0)
 
     def render(self) -> str:
         """Render (and checksum) the payload on first access."""
@@ -147,11 +143,6 @@ class PlanCache:
         ``cache.quarantined`` event per checksum-mismatch quarantine; a
         :class:`~repro.service.server.PlanService` attaches its own journal
         here when the cache has none.
-    stamp_source:
-        Monotonic recency-stamp counter (``next(...)`` yields an int).  Each
-        get/put stamps the touched entry, mirroring the LRU reordering.  A
-        striped cache shares one counter across its stripes so the stripe
-        heads are globally comparable; standalone caches keep a private one.
     """
 
     def __init__(
@@ -160,7 +151,6 @@ class PlanCache:
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         journal=None,
-        stamp_source=None,
     ) -> None:
         if capacity <= 0:
             raise CacheError("Cache capacity must be positive")
@@ -170,9 +160,6 @@ class PlanCache:
         self.ttl_seconds = ttl_seconds
         self._clock = clock
         self.journal = journal
-        # itertools.count.__next__ is atomic in CPython, so stamping under a
-        # *stripe* lock with a shared counter never tears.
-        self._stamps = stamp_source if stamp_source is not None else itertools.count(1)
         self._entries: OrderedDict[str, _CacheEntry] = OrderedDict()
         # Expired entries, retained (bounded by capacity) for the service's
         # stale-serving degradation tier; never returned by get()/get_payload().
@@ -258,7 +245,6 @@ class PlanCache:
             checksum=payload_checksum(payload) if payload is not None else None,
             plan=plan,
             inserted_at=self._clock(),
-            stamp=next(self._stamps),
         )
         with self._lock:
             self._entries[fingerprint] = entry
@@ -286,7 +272,6 @@ class PlanCache:
             checksum=checksum,
             plan=None,
             inserted_at=self._clock(),
-            stamp=next(self._stamps),
         )
         with self._lock:
             self._entries[fingerprint] = entry
@@ -354,26 +339,6 @@ class PlanCache:
         with self._lock:
             return list(self._entries)
 
-    # The two hooks a striped cache's global-LRU trim needs: each stripe's
-    # OrderedDict is in recency order (stamps strictly increase per touch),
-    # so the head entry carries the stripe-minimal stamp, and the stripe with
-    # the smallest head stamp holds the globally least-recently-used entry.
-    def lru_stamp(self) -> int | None:
-        """Recency stamp of this cache's LRU entry (``None`` when empty)."""
-        with self._lock:
-            if not self._entries:
-                return None
-            return next(iter(self._entries.values())).stamp
-
-    def evict_lru(self) -> str | None:
-        """Evict the least-recently-used entry; returns its fingerprint."""
-        with self._lock:
-            if not self._entries:
-                return None
-            fingerprint, _ = self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            return fingerprint
-
     # ------------------------------------------------------------ persistence
     def save(self, path: str | Path) -> Path:
         """Write the cached payloads (keyed by fingerprint) to ``path``."""
@@ -414,7 +379,6 @@ class PlanCache:
                     payload=payload,
                     plan=None,
                     inserted_at=now,
-                    stamp=next(self._stamps),
                 )
                 self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
@@ -478,6 +442,5 @@ class PlanCache:
                 return None
             self._entries.move_to_end(fingerprint)
             entry.hits += 1
-            entry.stamp = next(self._stamps)
             self.stats.hits += 1
             return entry

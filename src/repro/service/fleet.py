@@ -1,4 +1,4 @@
-"""Fingerprint-sharded serving fleet: routing, lock striping, partitions.
+"""Fingerprint-sharded serving fleet: routing, one shared cache, partitions.
 
 :class:`PlanServiceFleet` scales the single :class:`~repro.service.server.
 PlanService` into N shards addressed by **fingerprint-range routing**: the
@@ -15,13 +15,10 @@ jump consistent hash), so
   a warm-started fleet re-serves byte-identical payloads after a shard-count
   change because entries reload into whichever shard now owns their range.
 
-The shared plan cache is a :class:`StripedPlanCache`: K independent
-:class:`~repro.service.cache.PlanCache` stripes keyed by the same
-fingerprint-range routing, each behind its own lock, with LRU/TTL semantics
-preserved *globally* — stripes share one monotonic recency-stamp counter, so
-the eviction victim under capacity pressure is the globally least-recently-
-used entry, exactly as in the flat cache.  Byte-identical payload serving,
-checksum quarantine and stale-entry retention are inherited per stripe.
+Every shard serves from one shared :class:`~repro.service.cache.PlanCache`
+(one lock, one LRU order), so a plan solved on any shard is a hit on all of
+them.  Lock-striping that cache was measured to buy no throughput under the
+GIL, so the fleet does not.
 
 Durability is partitioned: each shard owns one
 :class:`~repro.service.store.PlanStore` snapshot file covering its
@@ -42,13 +39,13 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner, PlannerInput
 from repro.graph.graph import ComputationGraph
 from repro.obs.telemetry import TelemetryJournal, TraceIdGenerator
-from repro.service.cache import CacheStats, PlanCache
+from repro.service.cache import PlanCache
 from repro.service.resilience import PlanResponse, ResiliencePolicy
 from repro.service.server import (
     FingerprintMemo,
@@ -104,205 +101,6 @@ def shard_for_fingerprint(fingerprint: str, num_shards: int) -> int:
     return jump_consistent_hash(key, num_shards)
 
 
-class StripedPlanCache:
-    """A lock-striped :class:`PlanCache`: K stripes, one global LRU order.
-
-    Each stripe is a full :class:`PlanCache` (its own lock, LRU order, TTL
-    expiry, stale list, checksum quarantine) holding the fingerprints whose
-    range routes to it (:func:`shard_for_fingerprint` with ``num_stripes``
-    buckets).  Capacity is enforced *globally*: stripes share one monotonic
-    recency-stamp counter, so when the fleet overflows ``capacity`` the trim
-    evicts the stripe head with the smallest stamp — the same entry a flat
-    LRU cache would evict.  Accesses to different ranges never contend on
-    one lock; semantics (including the eviction order and byte-identical
-    payload serving) are preserved, which the flat cache's test suite
-    verifies against both implementations.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 64,
-        ttl_seconds: float | None = None,
-        clock=None,
-        journal=None,
-        num_stripes: int = 8,
-    ) -> None:
-        import itertools
-        import time
-
-        if num_stripes <= 0:
-            raise FleetError("num_stripes must be positive")
-        clock = clock if clock is not None else time.monotonic
-        stamps = itertools.count(1)
-        self.capacity = capacity
-        self.ttl_seconds = ttl_seconds
-        self.num_stripes = num_stripes
-        self._journal = journal
-        # Each stripe gets the full global capacity: per-stripe self-eviction
-        # must never fire before the global trim (which alone knows the
-        # cross-stripe LRU order).  The degenerate all-keys-in-one-stripe
-        # case still evicts correctly — that stripe's LRU is the global LRU.
-        self._stripes = [
-            PlanCache(
-                capacity=capacity,
-                ttl_seconds=ttl_seconds,
-                clock=clock,
-                journal=journal,
-                stamp_source=stamps,
-            )
-            for _ in range(num_stripes)
-        ]
-        self._trim_lock = threading.Lock()
-
-    # -------------------------------------------------------------- routing
-    def stripe_of(self, fingerprint: str) -> int:
-        return shard_for_fingerprint(fingerprint, self.num_stripes)
-
-    def _stripe(self, fingerprint: str) -> PlanCache:
-        return self._stripes[self.stripe_of(fingerprint)]
-
-    @property
-    def stripes(self) -> "list[PlanCache]":
-        return list(self._stripes)
-
-    # ------------------------------------------------------------- journal
-    # PlanService adopts journal-less caches (``cache.journal = journal``);
-    # propagate assignments to every stripe so quarantines keep journaling.
-    @property
-    def journal(self):
-        return self._journal
-
-    @journal.setter
-    def journal(self, journal) -> None:
-        self._journal = journal
-        for stripe in self._stripes:
-            stripe.journal = journal
-
-    # -------------------------------------------------------------- access
-    def get(self, fingerprint: str) -> Optional[ExecutionPlan]:
-        return self._stripe(fingerprint).get(fingerprint)
-
-    def get_payload(self, fingerprint: str) -> Optional[str]:
-        return self._stripe(fingerprint).get_payload(fingerprint)
-
-    def get_stale(self, fingerprint: str):
-        return self._stripe(fingerprint).get_stale(fingerprint)
-
-    def put(
-        self, fingerprint: str, plan: ExecutionPlan, payload: str | None = None
-    ) -> None:
-        self._stripe(fingerprint).put(fingerprint, plan, payload)
-        self._trim()
-
-    def put_payload(
-        self, fingerprint: str, payload: str, checksum: str | None = None
-    ) -> None:
-        self._stripe(fingerprint).put_payload(fingerprint, payload, checksum)
-        self._trim()
-
-    def invalidate(self, fingerprint: str) -> bool:
-        return self._stripe(fingerprint).invalidate(fingerprint)
-
-    def corrupt(self, fingerprint: str) -> bool:
-        return self._stripe(fingerprint).corrupt(fingerprint)
-
-    def clear(self) -> None:
-        for stripe in self._stripes:
-            stripe.clear()
-
-    def purge_expired(self) -> int:
-        return sum(stripe.purge_expired() for stripe in self._stripes)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._stripe(fingerprint)
-
-    def __len__(self) -> int:
-        return sum(len(stripe) for stripe in self._stripes)
-
-    def fingerprints(self) -> list[str]:
-        out: list[str] = []
-        for stripe in self._stripes:
-            out.extend(stripe.fingerprints())
-        return out
-
-    def stale_fingerprints(self) -> list[str]:
-        out: list[str] = []
-        for stripe in self._stripes:
-            out.extend(stripe.stale_fingerprints())
-        return out
-
-    @property
-    def stats(self) -> CacheStats:
-        """Aggregated counters across every stripe (read-only snapshot)."""
-        merged = CacheStats()
-        for stripe in self._stripes:
-            stats = stripe.stats
-            merged.hits += stats.hits
-            merged.misses += stats.misses
-            merged.puts += stats.puts
-            merged.evictions += stats.evictions
-            merged.expirations += stats.expirations
-            merged.corruptions += stats.corruptions
-            merged.stale_hits += stats.stale_hits
-        return merged
-
-    # --------------------------------------------------------- persistence
-    def save(self, path) -> "Path":
-        """Snapshot every stripe's payloads into one flat-format file."""
-        import json
-
-        from repro.service.cache import CACHE_SNAPSHOT_VERSION
-
-        entries: dict[str, str] = {}
-        for stripe in self._stripes:
-            for fingerprint in stripe.fingerprints():
-                payload = stripe.get_payload(fingerprint)
-                if payload is not None:
-                    entries[fingerprint] = payload
-        snapshot = {
-            "format_version": CACHE_SNAPSHOT_VERSION,
-            "entries": entries,
-        }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(snapshot), encoding="utf-8")
-        return path
-
-    def load(self, path) -> int:
-        """Load a flat snapshot, routing each entry to its stripe."""
-        # Parse/validate once via a scratch flat cache, then re-route.
-        scratch = PlanCache(capacity=max(self.capacity, 1))
-        count = scratch.load(path)
-        for fingerprint in scratch.fingerprints():
-            payload = scratch.get_payload(fingerprint)
-            if payload is not None:
-                self.put_payload(fingerprint, payload)
-        return count
-
-    # ------------------------------------------------------------ internals
-    def _trim(self) -> None:
-        """Evict globally-LRU entries until the fleet is within capacity.
-
-        Serialized by ``_trim_lock`` (evictions are rare relative to
-        accesses); each victim lookup is O(stripes) over the stripe heads.
-        """
-        if len(self) <= self.capacity:
-            return
-        with self._trim_lock:
-            while len(self) > self.capacity:
-                victim: PlanCache | None = None
-                victim_stamp: int | None = None
-                for stripe in self._stripes:
-                    stamp = stripe.lru_stamp()
-                    if stamp is None:
-                        continue
-                    if victim_stamp is None or stamp < victim_stamp:
-                        victim, victim_stamp = stripe, stamp
-                if victim is None:
-                    return
-                victim.evict_lru()
-
-
 class PlanServiceFleet:
     """N fingerprint-range-sharded :class:`PlanService` shards, one front end.
 
@@ -322,13 +120,9 @@ class PlanServiceFleet:
     num_shards:
         Shard count; :func:`shard_for_fingerprint` with this bucket count
         is the routing function.
-    num_stripes:
-        Stripe count of the shared :class:`StripedPlanCache`; defaults to
-        ``num_shards`` so cache stripes and shards cover the same
-        fingerprint ranges.
     cache:
-        Pre-built shared cache (striped or flat); by default a
-        :class:`StripedPlanCache` of ``capacity`` entries.
+        Pre-built shared cache; by default a :class:`PlanCache` of
+        ``capacity`` entries.
     num_workers / max_batch_size / resilience:
         Per-shard :class:`PlanService` configuration.
     store_dir:
@@ -352,8 +146,7 @@ class PlanServiceFleet:
         planner_factory: Callable[[], ExecutionPlanner],
         *,
         num_shards: int = 4,
-        num_stripes: int | None = None,
-        cache=None,
+        cache: PlanCache | None = None,
         capacity: int = 256,
         stats: ServiceStats | None = None,
         num_workers: int = 1,
@@ -370,14 +163,7 @@ class PlanServiceFleet:
             raise FleetError("num_shards must be positive")
         prototype = planner_factory()
         self.num_shards = num_shards
-        self.cache = (
-            cache
-            if cache is not None
-            else StripedPlanCache(
-                capacity=capacity,
-                num_stripes=num_stripes if num_stripes is not None else num_shards,
-            )
-        )
+        self.cache = cache if cache is not None else PlanCache(capacity=capacity)
         self.stats = stats if stats is not None else ServiceStats()
         self.journal = journal
         self.slo = slo
@@ -591,9 +377,9 @@ class PlanServiceFleet:
         *fewer* shards than the one that persisted still recovers the whole
         keyspace (the extra partitions' entries re-route to their new owners
         via the shared cache, and the next :meth:`persist` repartitions the
-        directory).  Partitions cover disjoint fingerprint ranges, and the
-        striped cache takes per-stripe locks, so the loads don't serialize
-        on one another (beyond the GIL).  Returns total entries loaded.
+        directory).  Partitions cover disjoint fingerprint ranges, so the
+        loads only contend on the shared cache's lock while inserting.
+        Returns total entries loaded.
         """
         own = {store.path for store in self.stores}
         stores = list(self.stores)

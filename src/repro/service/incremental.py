@@ -32,17 +32,17 @@ from dataclasses import dataclass
 
 from repro.core.estimator import ScalingCurve
 from repro.core.plan import ExecutionPlan
-from repro.core.planner import ExecutionPlanner, PlannerInput, StageHook
+from repro.core.planner import ExecutionPlanner, PlannerInput
 
 
 class StaleTopologyError(RuntimeError):
     """The bound planner's cluster changed under an incremental planner.
 
     Pooled curves embed the topology they were profiled on; transferring them
-    onto a different cluster silently misestimates every MetaOp.  Elastic
-    replanning must build one :class:`IncrementalPlanner` per topology (see
-    :class:`repro.elastic.runner.ElasticTrainingRunner`) instead of rebinding
-    this one.
+    onto a different cluster silently misestimates every MetaOp.  Replanning
+    on a changed substrate must build one :class:`IncrementalPlanner` per
+    topology (as :class:`repro.unified.runtime.UnifiedRunner` does) instead of
+    rebinding this one.
     """
 
 
@@ -121,13 +121,10 @@ class IncrementalPlanner:
         self,
         workload: PlannerInput,
         *,
-        stage_hook: StageHook | None = None,
         fingerprint: str | None = None,
     ) -> ExecutionPlan:
         """Plan ``workload``, reusing pooled curves for known MetaOps.
 
-        ``stage_hook`` is forwarded to the underlying planner so callers (the
-        elastic runner's replan bookkeeping) can observe per-stage progress;
         ``fingerprint`` skips re-deriving an already-computed canonical
         fingerprint (the :class:`~repro.service.server.PlanService` workers
         pass the one they keyed the request on).
@@ -143,7 +140,6 @@ class IncrementalPlanner:
                 workload,
                 previous=self._previous_plan,
                 precomputed_curves=self._curves,
-                stage_hook=stage_hook,
                 fingerprint=fingerprint,
             )
             self._previous_plan = plan
@@ -157,7 +153,6 @@ class IncrementalPlanner:
             plan = self.planner.plan(
                 workload,
                 precomputed_curves=self._curves,
-                stage_hook=stage_hook,
                 fingerprint=fingerprint,
             )
         reused = plan.report.reused_curves

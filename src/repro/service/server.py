@@ -1133,7 +1133,8 @@ class PlanServicePool:
     Elastic training runs replan whenever the substrate changes, and several
     concurrent jobs on one cluster walk through the *same* derived topologies
     (the same failure produces the same snapshot).  Routing every replan
-    through a pool keyed by topology signature gives those jobs:
+    through a pool keyed by topology signature (``UnifiedRunner(...,
+    planning_service=pool)``) gives those jobs:
 
     * **shared plans** — one fingerprint-keyed :class:`PlanCache` across all
       topologies of the pool, so a substrate one job already planned for is a
@@ -1157,7 +1158,8 @@ class PlanServicePool:
     ----------
     planner_factory:
         Builds the :class:`ExecutionPlanner` for a derived topology (same
-        contract as the elastic runner's ``planner_factory``).
+        contract as :class:`~repro.unified.runtime.UnifiedRunner`'s
+        ``planner_factory``).
     cache / stats:
         Shared across every service of the pool; fresh ones are created when
         omitted.

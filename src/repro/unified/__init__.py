@@ -1,7 +1,8 @@
 """Unified event-driven runtime: workload and cluster events on one timeline.
 
-Merges the elastic substrate loop and the dynamic-workload phase machinery
-into a single event-driven runner with incremental replanning.  See
+The one replanning loop: elastic runs (cluster events over a fixed task set)
+and dynamic task sets (workload events) run through a single event-driven
+runner with incremental replanning.  See
 ``docs/architecture.md`` for how this package sits on top of ``elastic/`` and
 ``dynamic/``, and ``docs/events.md`` for the event model and its ordering
 rules.

@@ -1,11 +1,12 @@
-"""The unified event-driven runtime: one loop over workload + cluster events.
+"""The event-driven runtime: one replanning loop over workload + cluster events.
 
-:class:`UnifiedRunner` merges the elastic runner's substrate loop
-(:mod:`repro.elastic.runner`) with the dynamic runner's task-set machinery
-(:mod:`repro.dynamic.workload`): a single ordered event loop consumes a
-:class:`~repro.unified.events.UnifiedTimeline` against one shared state —
-the :class:`~repro.elastic.view.ElasticClusterView` plus the ordered active
-task list.  Per event group (see ``docs/events.md`` for ordering rules) it
+:class:`UnifiedRunner` is the reproduction's one replanning loop.  It
+consumes a :class:`~repro.unified.events.UnifiedTimeline` against one shared
+state — the :class:`~repro.elastic.view.ElasticClusterView` plus the ordered
+active task list.  An elastic run (a fixed task set on a changing cluster) is
+a scenario whose timeline holds cluster events only; a dynamic phase schedule
+is lifted in by :meth:`UnifiedScenario.from_dynamic`.  Per event group (see
+``docs/events.md`` for ordering rules) it
 
 1. applies the group's cluster events to the view and derives a snapshot,
 2. applies the group's workload events to the active task list,
@@ -16,23 +17,30 @@ task list.  Per event group (see ``docs/events.md`` for ordering rules) it
    :class:`~repro.service.incremental.IncrementalPlanner` instances — with
    ``reuse_levels=True`` in incremental mode, so structurally unchanged
    MetaLevels (or entire plans, on in-place job churn) are adopted instead of
-   re-solved — and a shared fingerprint-keyed plan cache,
-5. charges the switch with the shared elastic cost models
+   re-solved — and a shared fingerprint-keyed plan cache, or through a shared
+   :class:`~repro.service.server.PlanServicePool`,
+5. charges the switch with the elastic cost models
    (:class:`~repro.elastic.migration.MigrationCostModel`,
-   :class:`~repro.elastic.runner.ReplanCostModel`).
+   :class:`~repro.elastic.migration.ReplanCostModel`).
+
+Without a replan, training continues on the old plan: a degraded substrate
+multiplies the iteration time by the pacing ratio of the devices the plan
+runs on (a straggler throttling its node to 50% doubles it), while added
+capacity idles until a replan adopts it.
 
 **Determinism.** Identical scenarios and seeds produce byte-identical
 canonical reports (:meth:`UnifiedRunResult.to_document`): measured planner
 wall-clock and reuse tier counters stay out-of-band.  In particular the
 report is *mode-independent* — ``incremental=True`` and ``incremental=False``
 runs serialize identically, which is the full-replan equivalence reference
-the tests pin (PR 3 discipline).  Replan latency lands in the
+the tests pin.  Replan latency lands in the
 ``elastic.replan_seconds{policy=...}`` histograms either way, which is what
 ``benchmarks/bench_unified_runtime.py`` gates on.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -42,9 +50,12 @@ from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner
 from repro.dynamic.workload import DynamicWorkloadSchedule
 from repro.elastic.events import CAPACITY_LOSS_KINDS, ClusterEvent, EventTimeline
-from repro.elastic.migration import MigrationCostModel, MigrationReport
+from repro.elastic.migration import (
+    MigrationCostModel,
+    MigrationReport,
+    ReplanCostModel,
+)
 from repro.elastic.policy import ReplanContext, ReplanPolicy, SlowdownThresholdPolicy
-from repro.elastic.runner import ElasticTrainingRunner, ReplanCostModel, ReplanRecord
 from repro.elastic.view import ElasticClusterView, ElasticSnapshot
 from repro.graph.task import SpindleTask
 from repro.obs import get_metrics, get_tracer
@@ -52,6 +63,7 @@ from repro.runtime.engine import RuntimeEngine
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import fingerprint_workload
 from repro.service.incremental import IncrementalPlanner
+from repro.service.server import PlanServicePool, ServiceError
 from repro.unified.events import (
     PHASE_CHANGE,
     TASK_ARRIVAL,
@@ -214,18 +226,59 @@ class UnifiedScenario:
         )
 
 
-@dataclass
-class UnifiedReplanRecord(ReplanRecord):
-    """One planner invocation in the unified loop.
+def _stay_slowdown(plan_snapshot: ElasticSnapshot, current: ElasticSnapshot) -> float:
+    """Pacing penalty of keeping the old plan on the current substrate.
 
-    Extends the elastic :class:`~repro.elastic.runner.ReplanRecord` with the
-    incremental-reuse counter.  ``levels_reused`` is **out-of-band** — it is
-    excluded from :meth:`to_document` (inherited unchanged), because canonical
-    reports must be byte-identical between incremental and full-replan modes;
-    read it from the result object when asserting reuse behaviour.
+    The old plan's wave entries pace on their own device group's spec class,
+    so a degradation slows the plan down by the worst *per-node* ratio of
+    planned to current sustained throughput over the surviving planned
+    nodes — a straggling device demotes only its own island's group.
+    Capacity added elsewhere neither helps nor hurts until a replan adopts
+    it.  On homogeneous substrates this equals the floor-to-floor ratio.
+    """
+    worst = 1.0
+    for node_id in plan_snapshot.node_ids:
+        current_spec = current.spec_of_node(node_id)
+        if current_spec is None:
+            continue
+        planned_spec = plan_snapshot.spec_of_node(node_id)
+        if planned_spec is None:  # pragma: no cover - planned nodes exist
+            continue
+        worst = max(
+            worst, planned_spec.achievable_flops / current_spec.achievable_flops
+        )
+    return worst
+
+
+@dataclass
+class UnifiedReplanRecord:
+    """Bookkeeping of one planner invocation (initial plan or replan).
+
+    ``charged_seconds`` is the deterministic :class:`ReplanCostModel` figure
+    that enters the timeline and the canonical report.  ``measured_seconds``
+    (actual planner wall-clock) and ``levels_reused`` (MetaLevel allocations
+    adopted by incremental replanning) are **out-of-band**: they are excluded
+    from :meth:`to_document`, because canonical reports must be byte-identical
+    across runs and between incremental and full-replan modes; read them from
+    the result object.  All times are seconds.
     """
 
+    charged_seconds: float
+    measured_seconds: float
+    cache_hit: bool
+    num_metaops: int
+    curves_reused: int
+    curves_estimated: int
     levels_reused: int = 0
+
+    def to_document(self) -> dict[str, Any]:
+        return {
+            "charged_seconds": self.charged_seconds,
+            "cache_hit": self.cache_hit,
+            "num_metaops": self.num_metaops,
+            "curves_reused": self.curves_reused,
+            "curves_estimated": self.curves_estimated,
+        }
 
 
 @dataclass
@@ -359,6 +412,16 @@ class UnifiedRunResult:
         return sum(1 for outcome in self.outcomes if outcome.task_set_changed)
 
     @property
+    def migration_bytes(self) -> float:
+        """Bytes moved or restored over the run; not in :meth:`to_document`,
+        which carries it per event in the migration documents."""
+        return sum(
+            outcome.migration.total_bytes
+            for outcome in self.outcomes
+            if outcome.migration is not None
+        )
+
+    @property
     def migration_seconds(self) -> float:
         return sum(
             outcome.migration.total_seconds
@@ -382,6 +445,19 @@ class UnifiedRunResult:
             for outcome in self.outcomes
             if outcome.replan is not None
         )
+
+    @property
+    def curve_reuse_rate(self) -> float:
+        """Share of scaling curves pooled rather than profiled, over the
+        replans the plan cache did not serve; not in :meth:`to_document`,
+        which carries the per-replan counts."""
+        reused = estimated = 0
+        for outcome in self.outcomes:
+            if outcome.replan is not None and not outcome.replan.cache_hit:
+                reused += outcome.replan.curves_reused
+                estimated += outcome.replan.curves_estimated
+        total = reused + estimated
+        return reused / total if total else 0.0
 
     @property
     def levels_reused(self) -> int:
@@ -437,21 +513,31 @@ class UnifiedRunner:
         threshold).  Capacity-loss cluster events and any task-set change
         bypass it.
     migration_model / replan_cost_model:
-        The elastic cost models, shared so unified and elastic reports charge
-        identical figures for identical switches.
+        Cost models for plan switches; defaults are shared across benchmarks.
     planner_factory:
-        Builds the :class:`ExecutionPlanner` for a derived topology; one
-        :class:`IncrementalPlanner` wraps each distinct topology signature.
+        Builds the :class:`ExecutionPlanner` for a derived topology.  One
+        :class:`IncrementalPlanner` wraps each distinct topology signature,
+        so curve pools never leak across substrates yet warm up across
+        *recurring* ones.
     plan_cache:
-        Fingerprint-keyed cache shared across all topologies of the run.
-        Because fingerprints are naming-insensitive, a phase change back to a
-        structurally known task set re-serves its plan without planning.
+        Fingerprint-keyed cache shared across all topologies of the run.  A
+        substrate that heals back to a known topology, or a phase change back
+        to a structurally known task set (fingerprints are
+        naming-insensitive), re-serves its plan without planning.
     incremental:
         ``True`` (default) plans with ``reuse_levels`` — structurally
         unchanged MetaLevels/plans are adopted.  ``False`` is the retained
         full-replan reference: same plans, same canonical report, more
         planner wall-clock.  The equivalence tests run every scenario in both
         modes and require identical fingerprints and documents.
+    planning_service:
+        Optional :class:`~repro.service.server.PlanServicePool` to route
+        every plan request through instead of this runner's own planners and
+        cache, so it excludes ``planner_factory`` and ``plan_cache``.  Runs
+        sharing one pool share its plan cache and coalesce simultaneous
+        identical replans onto one planner run.  The pool's planners keep no
+        previous plan, so ``incremental`` does not apply: ``levels_reused``
+        stays 0 and the result's ``mode`` reads ``"service"``.
     """
 
     def __init__(
@@ -463,7 +549,15 @@ class UnifiedRunner:
         planner_factory: PlannerFactory | None = None,
         plan_cache: PlanCache | None = None,
         incremental: bool = True,
+        planning_service: PlanServicePool | None = None,
     ) -> None:
+        if planning_service is not None and (
+            planner_factory is not None or plan_cache is not None
+        ):
+            raise ValueError(
+                "planning_service replaces planner_factory and plan_cache; "
+                "pass either the pool or the runner's own planners"
+            )
         self.scenario = scenario
         self.policy = policy or SlowdownThresholdPolicy()
         self.migration_model = migration_model or MigrationCostModel()
@@ -473,6 +567,7 @@ class UnifiedRunner:
         )
         self.plan_cache = plan_cache or PlanCache(capacity=64)
         self.incremental = incremental
+        self.planning_service = planning_service
         self._planners: dict[str, IncrementalPlanner] = {}
 
     # ------------------------------------------------------------- public API
@@ -488,7 +583,7 @@ class UnifiedRunner:
         result = UnifiedRunResult(
             scenario_name=scenario.name,
             policy=self.policy.describe(),
-            mode="incremental" if self.incremental else "full",
+            mode=self._mode(),
             total_iterations=scenario.total_iterations,
             baseline_iteration_seconds=iteration_seconds,
             initial_plan=initial_record,
@@ -527,9 +622,7 @@ class UnifiedRunner:
                     event.kind in CAPACITY_LOSS_KINDS
                     for event in group.cluster_events
                 )
-                stay = ElasticTrainingRunner._stay_slowdown(
-                    plan_snapshot, new_snapshot
-                )
+                stay = _stay_slowdown(plan_snapshot, new_snapshot)
                 context = ReplanContext(
                     events=group.cluster_events,
                     old_topology=plan_snapshot.topology,
@@ -605,38 +698,50 @@ class UnifiedRunner:
             self._planners[signature] = incremental
         return incremental
 
+    def _mode(self) -> str:
+        if self.planning_service is not None:
+            return "service"
+        return "incremental" if self.incremental else "full"
+
     def _plan(
         self, active: Sequence[str], snapshot: ElasticSnapshot
     ) -> tuple[ExecutionPlan, UnifiedReplanRecord]:
         """Plan the active task set on the snapshot's topology.
 
-        Mirrors the elastic runner's planning path — shared plan cache keyed
-        by canonical fingerprint, per-topology incremental planners, the
-        ``elastic.replan_seconds{policy=...}`` histogram and
-        ``elastic.replans{outcome=...}`` counters — so elastic and unified
-        replans share one metric schema (see ``docs/observability.md``).
+        The fingerprint-keyed cache is consulted first (hits charge the
+        cache-hit cost); misses solve on the topology's planner, or block on
+        the pool's service, where identical concurrent requests coalesce.
+        Either way replans land in the ``elastic.replan_seconds{policy=...}``
+        histogram and ``elastic.replans{outcome=...}`` counters (see
+        ``docs/observability.md``).
         """
-        tasks = [self.scenario.task_pool[name] for name in active]
-        incremental = self._planner_for(snapshot.topology)
-        fingerprint = fingerprint_workload(
-            tasks, incremental.planner.cluster, incremental.planner.config_signature()
-        )
-        cached = self.plan_cache.get(fingerprint)
+        tasks = tuple(self.scenario.task_pool[name] for name in active)
+        if self.planning_service is not None:
+            service = self.planning_service.service_for(snapshot.topology)
+            fingerprint = service.fingerprint(tasks)
+            cache = service.cache
+            solve = functools.partial(self._request, service, tasks, fingerprint, snapshot)
+        else:
+            incremental = self._planner_for(snapshot.topology)
+            fingerprint = fingerprint_workload(
+                tasks, incremental.planner.cluster, incremental.planner.config_signature()
+            )
+            cache = self.plan_cache
+            solve = functools.partial(self._solve, incremental, tasks, fingerprint)
+        cached = cache.get(fingerprint)
         if cached is not None:
             get_metrics().inc("elastic.replans", outcome="cache_hit")
             return cached, self._cache_hit_record(cached)
-        before_levels = incremental.stats.levels_reused
         with get_tracer().timed(
             "unified.replan", category="unified", policy=self.policy.describe()
         ) as span:
-            plan = incremental.plan(tasks, fingerprint=fingerprint)
+            plan, levels_reused = solve()
         measured = span.seconds
         metrics = get_metrics()
         metrics.observe(
             "elastic.replan_seconds", measured, policy=self.policy.describe()
         )
         metrics.inc("elastic.replans", outcome="planned")
-        self.plan_cache.put(fingerprint, plan)
         reused = plan.report.reused_curves
         estimated = plan.report.num_metaops - reused
         return plan, UnifiedReplanRecord(
@@ -648,8 +753,36 @@ class UnifiedRunner:
             num_metaops=plan.report.num_metaops,
             curves_reused=reused,
             curves_estimated=estimated,
-            levels_reused=incremental.stats.levels_reused - before_levels,
+            levels_reused=levels_reused,
         )
+
+    def _solve(
+        self, incremental: IncrementalPlanner, tasks, fingerprint: str
+    ) -> tuple[ExecutionPlan, int]:
+        """Plan on the runner's own planner and cache the result; returns the
+        plan and the MetaLevel allocations it adopted."""
+        before_levels = incremental.stats.levels_reused
+        plan = incremental.plan(tasks, fingerprint=fingerprint)
+        self.plan_cache.put(fingerprint, plan)
+        return plan, incremental.stats.levels_reused - before_levels
+
+    @staticmethod
+    def _request(
+        service, tasks, fingerprint: str, snapshot: ElasticSnapshot
+    ) -> tuple[ExecutionPlan, int]:
+        """Block on the pool's service, which caches what it plans; a
+        degraded plan (stale, incremental or reference tier) still installs,
+        counted as ``elastic.replans{outcome=degraded}``.  The pool's
+        planners keep no previous plan, so no MetaLevel is ever adopted."""
+        response = service.request(tasks, fingerprint=fingerprint)
+        if not response.ok or response.plan is None:
+            raise ServiceError(
+                f"plan service failed replanning for {snapshot.signature[:12]}: "
+                f"{response.error}"
+            )
+        if response.degraded:
+            get_metrics().inc("elastic.replans", outcome="degraded", tier=response.tier)
+        return response.plan, 0
 
     def _cache_hit_record(self, plan: ExecutionPlan) -> UnifiedReplanRecord:
         return UnifiedReplanRecord(

@@ -145,6 +145,18 @@ class TestElasticCommand:
         assert document["total_iterations"] == 60
         assert "replan_measured" not in first  # wall-clock stays out-of-band
 
+    def test_json_report_is_the_unified_report_of_a_fixed_task_set(self, capsys):
+        assert main(self.ARGS + ["--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["task_set_changes"] == 0
+        assert document["events"]
+        tasks = {tuple(event["active_tasks"]) for event in document["events"]}
+        assert len(tasks) == 1 and len(tasks.pop()) == 2
+        for event in document["events"]:
+            assert event["workload_events"] == []
+            assert event["cluster_events"]
+            assert not event["task_set_changed"]
+
     def test_scenarios_and_policies_run(self, capsys):
         for scenario in ("flash-crowd", "hetero-expand", "rolling-stragglers"):
             exit_code = main(

@@ -20,6 +20,7 @@ from repro.elastic.events import (
     gpu_straggler_timeline,
     rolling_straggler_timeline,
 )
+from repro.unified import UnifiedTimeline
 
 
 class TestClusterEvent:
@@ -83,9 +84,12 @@ class TestEventTimeline:
                 ClusterEvent(DEVICE_FAILURE, at_iteration=7, node=0, device=device)
             )
         timeline.add(ClusterEvent(NODE_LEAVE, at_iteration=9, node=1))
-        groups = timeline.grouped_by_iteration()
-        assert [(it, len(events)) for it, events in groups] == [(7, 4), (9, 1)]
-        assert [e.device for e in groups[0][1]] == [0, 1, 2, 3]
+        groups = UnifiedTimeline(cluster_events=timeline).grouped_by_iteration()
+        assert [(g.at_iteration, len(g.cluster_events)) for g in groups] == [
+            (7, 4),
+            (9, 1),
+        ]
+        assert [e.device for e in groups[0].cluster_events] == [0, 1, 2, 3]
 
 
 class TestGenerators:

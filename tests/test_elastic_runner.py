@@ -1,15 +1,18 @@
-"""End-to-end elastic training runs: replanning, caching, determinism."""
+"""End-to-end elastic training runs: replanning, caching, determinism.
+
+An elastic run is a :class:`UnifiedScenario` over a fixed task set whose
+timeline holds cluster events only.
+"""
 
 import json
 
 import pytest
 
 from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC
+from repro.core.planner import ExecutionPlanner
 from repro.elastic import (
     ClusterEvent,
-    ElasticRunError,
-    ElasticScenario,
-    ElasticTrainingRunner,
+    ElasticClusterView,
     EventTimeline,
     ImmediateReplanPolicy,
     ReplanCostModel,
@@ -21,27 +24,45 @@ from repro.elastic import (
 from repro.elastic.events import (
     DEVICE_FAILURE,
     DEVICE_RECOVERY,
+    NODE_JOIN,
+    NODE_LEAVE,
     STRAGGLER_CLEAR,
     STRAGGLER_ONSET,
 )
+from repro.obs import get_metrics
+from repro.service import PlanCache, PlanServicePool, ResiliencePolicy, ServiceError
+from repro.unified import (
+    UnifiedRunError,
+    UnifiedRunner,
+    UnifiedScenario,
+    UnifiedTimeline,
+    arrival_during_outage_timeline,
+)
+from repro.unified.runtime import _stay_slowdown
 from tests.conftest import make_chain_task
 
 
-@pytest.fixture
-def tasks():
+def make_tasks():
     return [
         make_chain_task("audio_task", {"audio": 2, "lm": 2}, batch=8),
         make_chain_task("vision_task", {"vision": 2, "lm": 2}, batch=4),
     ]
 
 
-def scenario_with(timeline, iterations=60, nodes=2, per_node=4):
-    return ElasticScenario(
+def scenario_with(timeline, iterations=60, nodes=2, per_node=4, spare=()):
+    """The two tasks under ``timeline``; ``spare`` tasks may arrive later."""
+    tasks = make_tasks()
+    names = tuple(task.name for task in tasks)
+    if not isinstance(timeline, UnifiedTimeline):
+        timeline = UnifiedTimeline(cluster_events=timeline)
+    return UnifiedScenario(
         num_nodes=nodes,
         devices_per_node=per_node,
         device_spec=A800_SPEC,
         timeline=timeline,
         total_iterations=iterations,
+        task_pool={task.name: task for task in (*tasks, *spare)},
+        initial_tasks=names,
         name="test",
     )
 
@@ -57,29 +78,36 @@ def recover(node, device, at):
 class TestScenarioValidation:
     def test_events_beyond_horizon_rejected(self):
         timeline = EventTimeline([fail(0, 0, 60)])
-        with pytest.raises(ElasticRunError):
+        with pytest.raises(UnifiedRunError):
             scenario_with(timeline, iterations=60)
 
-    def test_empty_task_set_rejected(self, tasks):
-        runner = ElasticTrainingRunner(scenario_with(EventTimeline()))
-        with pytest.raises(ElasticRunError):
-            runner.run([])
+    def test_empty_task_set_rejected(self):
+        with pytest.raises(UnifiedRunError):
+            UnifiedScenario(
+                num_nodes=2,
+                devices_per_node=4,
+                device_spec=A800_SPEC,
+                timeline=UnifiedTimeline(),
+                total_iterations=60,
+                task_pool={},
+                initial_tasks=(),
+            )
 
 
 class TestElasticRun:
-    def test_eventless_run_matches_baseline_exactly(self, tasks):
-        result = ElasticTrainingRunner(scenario_with(EventTimeline())).run(tasks)
+    def test_eventless_run_matches_baseline_exactly(self):
+        result = UnifiedRunner(scenario_with(EventTimeline())).run()
         assert result.total_seconds == pytest.approx(result.baseline_seconds)
         assert result.cumulative_slowdown == pytest.approx(1.0)
         assert result.replan_count == 0
         assert len(result.segments) == 1
         assert result.segments[0].num_iterations == 60
 
-    def test_capacity_loss_forces_replan_and_charges_migration(self, tasks):
+    def test_capacity_loss_forces_replan_and_charges_migration(self):
         timeline = EventTimeline([fail(0, 1, 20)])
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(timeline), policy=SlowdownThresholdPolicy(10.0)
-        ).run(tasks)
+        ).run()
         assert result.replan_count == 1
         outcome = result.outcomes[0]
         assert outcome.forced and outcome.replanned
@@ -89,11 +117,11 @@ class TestElasticRun:
         # The degraded plan runs slower: total exceeds the no-failure run.
         assert result.cumulative_slowdown > 1.0
 
-    def test_recovery_to_known_topology_hits_the_plan_cache(self, tasks):
+    def test_recovery_to_known_topology_hits_the_plan_cache(self):
         timeline = EventTimeline([fail(0, 1, 20), recover(0, 1, 40)])
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        ).run()
         assert result.replan_count == 2
         recovery = result.outcomes[1]
         assert recovery.replan is not None and recovery.replan.cache_hit
@@ -101,14 +129,14 @@ class TestElasticRun:
         model = ReplanCostModel()
         assert recovery.replan.charged_seconds == model.cached_plan_seconds
 
-    def test_threshold_policy_rides_through_small_changes(self, tasks):
+    def test_threshold_policy_rides_through_small_changes(self):
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, severity=0.9
         )
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(EventTimeline([onset])),
             policy=SlowdownThresholdPolicy(threshold=0.5),
-        ).run(tasks)
+        ).run()
         assert result.replan_count == 0
         outcome = result.outcomes[0]
         assert not outcome.forced and not outcome.replanned
@@ -118,24 +146,24 @@ class TestElasticRun:
             result.segments[0].iteration_seconds
         )
 
-    def test_severe_straggler_triggers_threshold_replan(self, tasks):
+    def test_severe_straggler_triggers_threshold_replan(self):
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, severity=0.4
         )
         clear = ClusterEvent(STRAGGLER_CLEAR, at_iteration=40, node=0)
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(EventTimeline([onset, clear])),
             policy=SlowdownThresholdPolicy(threshold=0.5),
-        ).run(tasks)
+        ).run()
         assert result.outcomes[0].replanned  # 2.5x estimated > 1.5x
         assert not result.outcomes[0].forced
         assert result.outcomes[0].migration is not None
 
-    def test_flash_crowd_expansion_replans_and_adopts_capacity(self, tasks):
+    def test_flash_crowd_expansion_replans_and_adopts_capacity(self):
         timeline = flash_crowd_timeline(20, 2, 4, A800_SPEC)
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(timeline), policy=SlowdownThresholdPolicy(threshold=0.1)
-        ).run(tasks)
+        ).run()
         outcome = result.outcomes[0]
         assert outcome.replanned and not outcome.forced  # 2x forgone > 1.1x
         assert outcome.estimated_slowdown == pytest.approx(2.0)
@@ -149,21 +177,21 @@ class TestElasticRun:
         # against this tiny baseline, so compare pure training time.)
         assert result.training_seconds / result.baseline_seconds < 1.25
 
-    def test_heterogeneous_expansion_plans_on_mixed_specs(self, tasks):
+    def test_heterogeneous_expansion_plans_on_mixed_specs(self):
         timeline = flash_crowd_timeline(20, 1, 4, TEST_GPU_SPEC)
-        runner = ElasticTrainingRunner(
+        runner = UnifiedRunner(
             scenario_with(timeline), policy=ImmediateReplanPolicy()
         )
-        result = runner.run(tasks)
+        result = runner.run()
         assert result.outcomes[0].replanned
         assert result.outcomes[0].num_devices == 12
         assert len(runner._planners) == 2  # one planner per topology signature
 
-    def test_island_outage_and_return(self, tasks):
+    def test_island_outage_and_return(self):
         timeline = island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        ).run()
         # One replan for the outage (4 same-iteration failures), one for the
         # recovery group.
         assert result.replan_count == 2
@@ -171,7 +199,7 @@ class TestElasticRun:
         assert result.outcomes[1].num_devices == 8
         assert result.outcomes[1].replan.cache_hit
 
-    def test_debounce_counts_event_groups(self, tasks):
+    def test_debounce_counts_event_groups(self):
         events = EventTimeline(
             [
                 ClusterEvent(
@@ -182,71 +210,130 @@ class TestElasticRun:
         )
         from repro.elastic import DebouncedReplanPolicy
 
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(events), policy=DebouncedReplanPolicy(min_groups=2)
-        ).run(tasks)
+        ).run()
         assert [outcome.replanned for outcome in result.outcomes] == [False, True]
 
 
 class TestReportDeterminism:
-    def test_identical_seeds_byte_identical_reports(self, tasks):
+    def test_identical_seeds_byte_identical_reports(self):
         def run():
             timeline = random_failure_timeline(2, 4, 60, 2, seed=5)
-            runner = ElasticTrainingRunner(
+            runner = UnifiedRunner(
                 scenario_with(timeline), policy=SlowdownThresholdPolicy(0.1)
             )
-            return runner.run(tasks)
+            return runner.run()
 
         first = json.dumps(run().to_document(), sort_keys=True, indent=2)
         second = json.dumps(run().to_document(), sort_keys=True, indent=2)
         assert first == second
 
-    def test_document_excludes_measured_wall_clock(self, tasks):
+    def test_document_excludes_measured_wall_clock(self):
         timeline = EventTimeline([fail(0, 0, 20)])
-        result = ElasticTrainingRunner(scenario_with(timeline)).run(tasks)
+        result = UnifiedRunner(scenario_with(timeline)).run()
         document = json.dumps(result.to_document())
         assert "measured" not in document
         assert result.replan_measured_seconds > 0  # still tracked out-of-band
 
-    def test_cumulative_curve_is_monotone_and_complete(self, tasks):
+    def test_segments_tile_the_horizon_in_order(self):
         timeline = EventTimeline([fail(0, 0, 20), recover(0, 0, 40)])
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
-        curve = result.cumulative_curve()
-        assert curve[-1][0] == 60
-        assert curve[-1][1] == pytest.approx(result.total_seconds)
-        iterations, times = zip(*curve)
-        assert list(iterations) == sorted(iterations)
-        assert list(times) == sorted(times)
+        ).run()
+        starts = [segment.start_iteration for segment in result.segments]
+        assert starts[0] == 0
+        assert {20, 40} <= set(starts)
+        for segment, following in zip(result.segments, result.segments[1:]):
+            assert following.start_iteration == (
+                segment.start_iteration + segment.num_iterations
+            )
+        assert sum(s.num_iterations for s in result.segments) == 60
+        assert result.total_seconds == pytest.approx(
+            sum(s.seconds for s in result.segments) + result.overhead_seconds
+        )
+
+    def test_run_totals_sum_the_per_event_documents(self):
+        timeline = island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
+        result = UnifiedRunner(
+            scenario_with(timeline), policy=ImmediateReplanPolicy()
+        ).run()
+        document = result.to_document()
+        migrations = [e["migration"] for e in document["events"] if e["migration"]]
+        assert migrations
+        assert result.migration_bytes == pytest.approx(
+            sum(m["moved_bytes"] + m["restored_bytes"] for m in migrations)
+        )
+        assert result.migration_bytes > 0
+        planned = [
+            e["replan"]
+            for e in document["events"]
+            if e["replan"] and not e["replan"]["cache_hit"]
+        ]
+        reused = sum(r["curves_reused"] for r in planned)
+        total = reused + sum(r["curves_estimated"] for r in planned)
+        assert result.curve_reuse_rate == (reused / total if total else 0.0)
+        # Both totals are derived from the per-event documents only.
+        assert "migration_bytes" not in document
+        assert "curve_reuse_rate" not in document
+
+
+class TestStaySlowdown:
+    """Pacing of the old plan on the current substrate, without a replan."""
+
+    def test_worst_surviving_node_ratio_paces_the_old_plan(self):
+        view = ElasticClusterView(3, 4, A800_SPEC)
+        planned = view.snapshot()
+        view.apply_all([
+            ClusterEvent(STRAGGLER_ONSET, at_iteration=1, node=0, severity=0.8),
+            ClusterEvent(
+                STRAGGLER_ONSET, at_iteration=1, node=1, device=2, severity=0.5
+            ),
+        ])
+        assert _stay_slowdown(planned, view.snapshot()) == pytest.approx(2.0)
+        # A straggling device that then fails no longer paces its node.
+        view.apply(fail(1, 2, 2))
+        assert _stay_slowdown(planned, view.snapshot()) == pytest.approx(1.25)
+
+    def test_lost_and_added_capacity_do_not_pace(self):
+        view = ElasticClusterView(2, 4, A800_SPEC)
+        planned = view.snapshot()
+        view.apply_all([
+            ClusterEvent(NODE_LEAVE, at_iteration=1, node=1),
+            ClusterEvent(
+                NODE_JOIN, at_iteration=1, spec=TEST_GPU_SPEC, num_devices=4
+            ),
+            fail(0, 3, 1),
+        ])
+        assert _stay_slowdown(planned, view.snapshot()) == 1.0
 
 
 class TestPerDeviceStragglerRuns:
-    def test_single_gpu_straggler_slows_only_its_group(self, tasks):
+    def test_single_gpu_straggler_slows_only_its_group(self):
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, device=1, severity=0.5
         )
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(EventTimeline([onset])),
             policy=SlowdownThresholdPolicy(threshold=10.0),
-        ).run(tasks)
+        ).run()
         outcome = result.outcomes[0]
         assert not outcome.replanned
         # Staying on the old plan paces the afflicted island (and only it) at
         # half rate; the worst per-group ratio is 2x.
         assert outcome.stay_slowdown == pytest.approx(2.0)
 
-    def test_gpu_straggler_replan_plans_on_demoted_class(self, tasks):
+    def test_gpu_straggler_replan_plans_on_demoted_class(self):
         onset = ClusterEvent(
             STRAGGLER_ONSET, at_iteration=20, node=0, device=1, severity=0.4
         )
         clear = ClusterEvent(
             STRAGGLER_CLEAR, at_iteration=40, node=0, device=1
         )
-        result = ElasticTrainingRunner(
+        result = UnifiedRunner(
             scenario_with(EventTimeline([onset, clear])),
             policy=ImmediateReplanPolicy(),
-        ).run(tasks)
+        ).run()
         assert result.outcomes[0].replanned
         # The demoted island forms its own spec class, so the replan lands on
         # a different substrate; the heal returns to the original topology
@@ -261,18 +348,18 @@ class TestPerDeviceStragglerRuns:
 
 
 class TestCheckpointIntervalRuns:
-    def test_island_outage_charges_lost_progress(self, tasks):
+    def test_island_outage_charges_lost_progress(self):
         timeline = island_outage_timeline(1, 4, at_iteration=23, recovery_at=40)
-        plain = ElasticTrainingRunner(
+        plain = UnifiedRunner(
             scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+        ).run()
         from repro.elastic import MigrationCostModel
 
-        charged = ElasticTrainingRunner(
+        charged = UnifiedRunner(
             scenario_with(island_outage_timeline(1, 4, at_iteration=23, recovery_at=40)),
             policy=ImmediateReplanPolicy(),
             migration_model=MigrationCostModel(checkpoint_interval=10),
-        ).run(tasks)
+        ).run()
         outage = charged.outcomes[0].migration
         if outage.num_restored_groups > 0:
             assert outage.lost_iterations == 23 % 10
@@ -283,45 +370,58 @@ class TestCheckpointIntervalRuns:
             assert outage.recompute_seconds == 0.0
 
 
-class TestPlanServicePoolRuns:
-    def test_service_backed_run_matches_direct_run(self, tasks):
-        from repro.core.planner import ExecutionPlanner
-        from repro.service import PlanServicePool
+def island_outage_scenario():
+    return scenario_with(island_outage_timeline(1, 4, at_iteration=20, recovery_at=40))
 
-        timeline = island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-        direct = ElasticTrainingRunner(
-            scenario_with(timeline), policy=ImmediateReplanPolicy()
-        ).run(tasks)
+
+def arrival_during_outage_scenario():
+    """The outage composed with one task arriving on the degraded cluster."""
+    timeline = arrival_during_outage_timeline(
+        ["text_task"], outage_node=1, devices_per_node=4,
+        at_iteration=20, recovery_at=40,
+    )
+    spare = make_chain_task("text_task", {"text": 2, "lm": 2}, batch=8)
+    return scenario_with(timeline, spare=[spare])
+
+
+class FailingPlanner(ExecutionPlanner):
+    """A planner whose optimized solve always fails."""
+
+    def plan(self, workload, **kwargs):
+        raise RuntimeError("planner down")
+
+
+class TestPlanServicePoolRuns:
+    @pytest.mark.parametrize(
+        "scenario", [island_outage_scenario, arrival_during_outage_scenario]
+    )
+    def test_service_backed_run_matches_direct_run(self, scenario):
+        direct = UnifiedRunner(scenario(), policy=ImmediateReplanPolicy()).run()
         with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            served = ElasticTrainingRunner(
-                scenario_with(
-                    island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
-                ),
+            served = UnifiedRunner(
+                scenario(),
                 policy=ImmediateReplanPolicy(),
                 planning_service=pool,
-            ).run(tasks)
+            ).run()
         assert json.dumps(direct.to_document(), sort_keys=True) == json.dumps(
             served.to_document(), sort_keys=True
         )
 
-    def test_concurrent_jobs_share_plans_through_the_pool(self, tasks):
-        from repro.core.planner import ExecutionPlanner
-        from repro.service import PlanServicePool
-
+    def test_concurrent_jobs_share_plans_through_the_pool(self):
         def timeline():
             return island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
 
         with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            first = ElasticTrainingRunner(
+            first = UnifiedRunner(
                 scenario_with(timeline()),
                 policy=ImmediateReplanPolicy(),
                 planning_service=pool,
-            ).run(tasks)
-            second = ElasticTrainingRunner(
+            ).run()
+            second = UnifiedRunner(
                 scenario_with(timeline()),
                 policy=ImmediateReplanPolicy(),
                 planning_service=pool,
-            ).run(tasks)
+            ).run()
             # The recovery heals back to the initial topology's signature, so
             # the run touches two distinct substrates: healthy and outage.
             assert pool.num_services == 2
@@ -334,3 +434,39 @@ class TestPlanServicePoolRuns:
             if outcome.replan is not None
         )
         assert second.overhead_seconds < first.overhead_seconds
+
+    def test_degraded_replans_install_and_are_counted(self):
+        metrics = get_metrics()
+        before = metrics.snapshot()
+        resilience = ResiliencePolicy(max_attempts=1, breaker_failure_threshold=0)
+        with PlanServicePool(FailingPlanner, resilience=resilience) as pool:
+            result = UnifiedRunner(
+                island_outage_scenario(),
+                policy=ImmediateReplanPolicy(),
+                planning_service=pool,
+            ).run()
+        # The reference tier serves the initial plan and the outage replan.
+        assert result.replan_count == 2
+        assert sum(s.num_iterations for s in result.segments) == 60
+        delta = metrics.snapshot().diff(before)
+        assert delta.counters["elastic.replans{outcome=degraded,tier=reference}"] >= 2
+
+    def test_pool_route_is_labelled_and_excludes_the_runners_own_planners(self):
+        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
+            result = UnifiedRunner(island_outage_scenario(), planning_service=pool).run()
+            assert result.mode == "service"
+            with pytest.raises(ValueError, match="planning_service"):
+                UnifiedRunner(
+                    island_outage_scenario(), plan_cache=PlanCache(), planning_service=pool
+                )
+            with pytest.raises(ValueError, match="planning_service"):
+                UnifiedRunner(
+                    island_outage_scenario(),
+                    planner_factory=lambda cluster: ExecutionPlanner(cluster),
+                    planning_service=pool,
+                )
+
+    def test_unserved_replan_raises_service_error(self):
+        with PlanServicePool(FailingPlanner) as pool:
+            with pytest.raises(ServiceError):
+                UnifiedRunner(island_outage_scenario(), planning_service=pool).run()

@@ -1,4 +1,4 @@
-"""Observability wired through the planner, service, elastic runner, simulator.
+"""Observability wired through the planner, service, runner, simulator.
 
 Covers the two quantitative guarantees the telemetry layer makes:
 
@@ -123,34 +123,34 @@ class TestSpanCoverage:
 
     def test_elastic_runner_emits_replan_spans_and_metrics(self):
         from repro.cluster.device import A800_SPEC
-        from repro.elastic import (
-            ClusterEvent,
-            ElasticScenario,
-            ElasticTrainingRunner,
-            EventTimeline,
-        )
+        from repro.elastic import ClusterEvent, EventTimeline
         from repro.elastic.events import DEVICE_FAILURE
+        from repro.unified import UnifiedRunner, UnifiedScenario, UnifiedTimeline
         from tests.conftest import make_chain_task
 
-        tasks = [make_chain_task("audio_task", {"audio": 2, "lm": 2}, batch=8)]
-        scenario = ElasticScenario(
+        task = make_chain_task("audio_task", {"audio": 2, "lm": 2}, batch=8)
+        scenario = UnifiedScenario(
             num_nodes=2,
             devices_per_node=4,
             device_spec=A800_SPEC,
-            timeline=EventTimeline(
-                [ClusterEvent(DEVICE_FAILURE, at_iteration=10, node=0, device=1)]
+            timeline=UnifiedTimeline(
+                cluster_events=EventTimeline(
+                    [ClusterEvent(DEVICE_FAILURE, at_iteration=10, node=0, device=1)]
+                )
             ),
             total_iterations=30,
+            task_pool={task.name: task},
+            initial_tasks=(task.name,),
             name="obs-test",
         )
         tracer = get_tracer()
         metrics = get_metrics()
         before = metrics.snapshot()
         with tracer.capture():
-            ElasticTrainingRunner(scenario).run(tasks)
+            UnifiedRunner(scenario).run()
         names = [r.name for r in tracer.records()]
-        assert "elastic.replan" in names
-        assert "elastic.event_group" in names
+        assert "unified.replan" in names
+        assert "unified.event_group" in names
         delta = metrics.snapshot().diff(before)
         replans = [
             key

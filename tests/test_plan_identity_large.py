@@ -4,17 +4,26 @@
 placement sees few islands and the simulator few devices.  This capture pins
 what the placer and the simulated runtime engine produce at 256-4096 GPUs, on
 an irregular (``island_sizes``) and a mixed-spec (``node_specs``) topology,
-and for one seeded 256-GPU unified scenario with a node join:
+for one seeded 256-GPU unified scenario with a node join, and for six
+fixed-task-set elastic scenarios (cluster events only):
 
 * the SHA-256 of the canonical plan document (``planning_report`` dropped),
 * ``repr`` of the simulated iteration time, the cluster-average FLOP/s and
   the summed per-device busy time of one simulated iteration,
-* the SHA-256 of the unified run's ``to_document()``.
+* the SHA-256 of the unified run's ``to_document()``,
+* the SHA-256 of each elastic run's :func:`elastic_projection`: its totals,
+  segments, initial-plan record and per-event replan decisions, replan and
+  migration documents.
+
+The elastic entries were captured with the former dedicated elastic runner,
+before its loop was folded into :class:`~repro.unified.runtime.UnifiedRunner`;
+they pin that the fold changed no figure, with incremental replanning on and
+off.
 
 The capture was generated on Python 3.11.  Like ``fig8_plan_identity.json``
 it holds where ``sum()`` adds floats one at a time (3.10, 3.11): the planner
-sums floats with the builtin, and Python 3.12's compensated ``sum()`` moves
-the last bits of some plan values.
+and the run totals sum floats with the builtin, and Python 3.12's compensated
+``sum()`` moves the last bits of some plan values.
 
 Regenerate (only after an intentional plan change) with::
 
@@ -35,6 +44,16 @@ from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC, DeviceSpec
 from repro.cluster.topology import make_cluster, make_heterogeneous_cluster
 from repro.core.planner import ExecutionPlanner
 from repro.core.serialization import plan_to_dict
+from repro.elastic import (
+    DebouncedReplanPolicy,
+    ImmediateReplanPolicy,
+    MigrationCostModel,
+    SlowdownThresholdPolicy,
+    flash_crowd_timeline,
+    gpu_straggler_timeline,
+    island_outage_timeline,
+    rolling_straggler_timeline,
+)
 from repro.elastic.events import NODE_JOIN, ClusterEvent, random_failure_timeline
 from repro.models import multitask_clip_tasks, ofasys_tasks
 from repro.runtime.engine import RuntimeEngine
@@ -131,9 +150,114 @@ def unified_record() -> dict[str, str]:
     return {"document_sha256": _sha256(result.to_document())}
 
 
+#: Fixed-task-set elastic scenarios: (tasks, nodes of 8 GPUs, iterations,
+#: cluster timeline, policy, checkpoint interval).
+ELASTIC_CASES = {
+    # The ``elastic_recovery`` smoke benchmark's scenario.
+    "random-failures-seed0": (
+        lambda: multitask_clip_tasks(4), 2, 200,
+        lambda: random_failure_timeline(2, 8, 200, 3, seed=0),
+        lambda: SlowdownThresholdPolicy(threshold=0.1), None,
+    ),
+    "island-outage-16gpus": (
+        lambda: multitask_clip_tasks(4), 2, 60,
+        lambda: island_outage_timeline(1, 8, at_iteration=20, recovery_at=40),
+        ImmediateReplanPolicy, None,
+    ),
+    "testgpu-flash-crowd-16gpus": (
+        lambda: multitask_clip_tasks(4), 2, 60,
+        lambda: flash_crowd_timeline(20, 1, 8, TEST_GPU_SPEC),
+        ImmediateReplanPolicy, None,
+    ),
+    "ofasys5-gpu-stragglers-32gpus": (
+        lambda: ofasys_tasks(5), 4, 120,
+        lambda: gpu_straggler_timeline(4, 8, 120, 5, seed=2, severity=0.4),
+        lambda: DebouncedReplanPolicy(min_groups=2), None,
+    ),
+    "clip10-rolling-stragglers-64gpus": (
+        lambda: multitask_clip_tasks(10), 8, 120,
+        lambda: rolling_straggler_timeline(8, 120, 3, seed=1),
+        lambda: SlowdownThresholdPolicy(threshold=0.1), 7,
+    ),
+    "clip10-random-failures-64gpus": (
+        lambda: multitask_clip_tasks(10), 8, 120,
+        lambda: random_failure_timeline(8, 8, 120, 4, seed=3),
+        ImmediateReplanPolicy, None,
+    ),
+}
+
+
+def elastic_runner(name: str, incremental: bool = True) -> UnifiedRunner:
+    tasks, nodes, iterations, timeline, policy, interval = ELASTIC_CASES[name]
+    tasks = tasks()
+    names = tuple(task.name for task in tasks)
+    scenario = UnifiedScenario(
+        num_nodes=nodes,
+        devices_per_node=8,
+        device_spec=A800_SPEC,
+        timeline=UnifiedTimeline(cluster_events=timeline()),
+        total_iterations=iterations,
+        task_pool=dict(zip(names, tasks)),
+        initial_tasks=names,
+        name=name,
+    )
+    return UnifiedRunner(
+        scenario,
+        policy=policy(),
+        migration_model=MigrationCostModel(checkpoint_interval=interval),
+        incremental=incremental,
+    )
+
+
+def elastic_projection(result) -> dict:
+    """An elastic run's totals, segments, initial plan and per-event
+    decisions with their replan and migration documents."""
+    return {
+        "scenario": result.scenario_name,
+        "policy": result.policy,
+        "total_iterations": result.total_iterations,
+        "baseline_seconds": result.baseline_seconds,
+        "training_seconds": result.training_seconds,
+        "overhead_seconds": result.overhead_seconds,
+        "total_seconds": result.total_seconds,
+        "cumulative_slowdown": result.cumulative_slowdown,
+        "replan_count": result.replan_count,
+        "cache_hits": result.cache_hits,
+        "migration_bytes": result.migration_bytes,
+        "migration_seconds": result.migration_seconds,
+        "replan_charged_seconds": result.replan_charged_seconds,
+        "curve_reuse_rate": result.curve_reuse_rate,
+        "initial_plan": result.initial_plan.to_document(),
+        "segments": [segment.to_document() for segment in result.segments],
+        "events": [
+            {
+                "iteration": outcome.iteration,
+                "forced": outcome.forced,
+                "replanned": outcome.replanned,
+                "estimated_slowdown": outcome.estimated_slowdown,
+                "stay_slowdown": outcome.stay_slowdown,
+                "num_devices": outcome.num_devices,
+                "topology_signature": outcome.topology_signature[:12],
+                "cluster_events": [e.to_document() for e in outcome.cluster_events],
+                "replan": outcome.replan.to_document() if outcome.replan else None,
+                "migration": (
+                    outcome.migration.to_document() if outcome.migration else None
+                ),
+            }
+            for outcome in result.outcomes
+        ],
+    }
+
+
+def elastic_record(name: str, incremental: bool = True) -> dict[str, str]:
+    result = elastic_runner(name, incremental).run()
+    return {"projection_sha256": _sha256(elastic_projection(result))}
+
+
 def capture() -> dict:
     records = {name: plan_record(name) for name in CASES}
     records["unified-256gpus-node-join"] = unified_record()
+    records.update({name: elastic_record(name) for name in ELASTIC_CASES})
     return records
 
 
@@ -143,7 +267,9 @@ def pinned():
 
 
 def test_capture_covers_every_case(pinned):
-    assert set(pinned) == set(CASES) | {"unified-256gpus-node-join"}
+    assert set(pinned) == (
+        set(CASES) | {"unified-256gpus-node-join"} | set(ELASTIC_CASES)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -153,6 +279,12 @@ def test_plan_and_simulation_match_capture(pinned, name):
 
 def test_unified_run_matches_capture(pinned):
     assert unified_record() == pinned["unified-256gpus-node-join"]
+
+
+@pytest.mark.parametrize("mode", ["incremental", "full"])
+@pytest.mark.parametrize("name", sorted(ELASTIC_CASES))
+def test_elastic_run_matches_capture(pinned, name, mode):
+    assert elastic_record(name, incremental=mode == "incremental") == pinned[name]
 
 
 if __name__ == "__main__":

@@ -1,10 +1,4 @@
-"""Tests for the fingerprint-keyed LRU+TTL plan cache.
-
-Every test runs against both cache implementations — the flat
-:class:`PlanCache` and the lock-striped :class:`StripedPlanCache` the serving
-fleet shares across shards — proving the striped cache preserves LRU/TTL
-semantics, stats accounting and byte-identical payload serving.
-"""
+"""Tests for the fingerprint-keyed LRU+TTL plan cache."""
 
 import pytest
 
@@ -12,7 +6,6 @@ from repro.cluster.topology import make_cluster
 from repro.core.planner import ExecutionPlanner
 from repro.core.serialization import plan_to_json, validate_plan_document
 from repro.service.cache import CacheError, PlanCache
-from repro.service.fleet import StripedPlanCache
 
 import json
 
@@ -28,34 +21,22 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture(params=["flat", "striped"])
-def make_cache(request):
-    """Factory building either cache implementation with PlanCache kwargs."""
-    if request.param == "flat":
-        return PlanCache
-
-    def striped(**kwargs):
-        return StripedPlanCache(num_stripes=4, **kwargs)
-
-    return striped
-
-
 @pytest.fixture
 def plan(tiny_tasks):
     return ExecutionPlanner(make_cluster(4, devices_per_node=4)).plan(tiny_tasks)
 
 
 class TestBasicOperations:
-    def test_get_miss_then_hit(self, make_cache, plan):
-        cache = make_cache()
+    def test_get_miss_then_hit(self, plan):
+        cache = PlanCache()
         assert cache.get(plan.fingerprint) is None
         cache.put(plan.fingerprint, plan)
         assert cache.get(plan.fingerprint) is plan
         assert plan.fingerprint in cache
         assert len(cache) == 1
 
-    def test_payload_is_byte_identical_across_hits(self, make_cache, plan):
-        cache = make_cache()
+    def test_payload_is_byte_identical_across_hits(self, plan):
+        cache = PlanCache()
         cache.put(plan.fingerprint, plan)
         first = cache.get_payload(plan.fingerprint)
         second = cache.get_payload(plan.fingerprint)
@@ -63,8 +44,8 @@ class TestBasicOperations:
         assert first == plan_to_json(plan)
         validate_plan_document(json.loads(first))
 
-    def test_invalidate_and_clear(self, make_cache, plan):
-        cache = make_cache()
+    def test_invalidate_and_clear(self, plan):
+        cache = PlanCache()
         cache.put(plan.fingerprint, plan)
         assert cache.invalidate(plan.fingerprint)
         assert not cache.invalidate(plan.fingerprint)
@@ -72,16 +53,16 @@ class TestBasicOperations:
         cache.clear()
         assert len(cache) == 0
 
-    def test_invalid_configuration_rejected(self, make_cache):
+    def test_invalid_configuration_rejected(self):
         with pytest.raises(CacheError):
-            make_cache(capacity=0)
+            PlanCache(capacity=0)
         with pytest.raises(CacheError):
-            make_cache(ttl_seconds=0.0)
+            PlanCache(ttl_seconds=0.0)
 
 
 class TestEviction:
-    def test_lru_eviction_order(self, make_cache, plan):
-        cache = make_cache(capacity=2)
+    def test_lru_eviction_order(self, plan):
+        cache = PlanCache(capacity=2)
         cache.put("a", plan)
         cache.put("b", plan)
         assert cache.get("a") is plan  # refresh "a": now "b" is LRU
@@ -91,8 +72,8 @@ class TestEviction:
         assert cache.get("c") is plan
         assert cache.stats.evictions == 1
 
-    def test_overwrite_does_not_evict(self, make_cache, plan):
-        cache = make_cache(capacity=2)
+    def test_overwrite_does_not_evict(self, plan):
+        cache = PlanCache(capacity=2)
         cache.put("a", plan)
         cache.put("a", plan)
         cache.put("b", plan)
@@ -101,9 +82,9 @@ class TestEviction:
 
 
 class TestTTL:
-    def test_entries_expire(self, make_cache, plan):
+    def test_entries_expire(self, plan):
         clock = FakeClock()
-        cache = make_cache(ttl_seconds=10.0, clock=clock)
+        cache = PlanCache(ttl_seconds=10.0, clock=clock)
         cache.put("a", plan)
         clock.advance(9.0)
         assert cache.get("a") is plan
@@ -111,9 +92,9 @@ class TestTTL:
         assert cache.get("a") is None
         assert cache.stats.expirations == 1
 
-    def test_purge_expired(self, make_cache, plan):
+    def test_purge_expired(self, plan):
         clock = FakeClock()
-        cache = make_cache(ttl_seconds=5.0, clock=clock)
+        cache = PlanCache(ttl_seconds=5.0, clock=clock)
         cache.put("a", plan)
         cache.put("b", plan)
         clock.advance(6.0)
@@ -121,9 +102,9 @@ class TestTTL:
         assert cache.purge_expired() == 2
         assert cache.fingerprints() == ["c"]
 
-    def test_no_ttl_never_expires(self, make_cache, plan):
+    def test_no_ttl_never_expires(self, plan):
         clock = FakeClock()
-        cache = make_cache(clock=clock)
+        cache = PlanCache(clock=clock)
         cache.put("a", plan)
         clock.advance(1e9)
         assert cache.get("a") is plan
@@ -131,8 +112,8 @@ class TestTTL:
 
 
 class TestStats:
-    def test_hit_rate(self, make_cache, plan):
-        cache = make_cache()
+    def test_hit_rate(self, plan):
+        cache = PlanCache()
         cache.put("a", plan)
         cache.get("a")
         cache.get("a")
@@ -144,13 +125,13 @@ class TestStats:
 
 
 class TestPersistence:
-    def test_save_and_load_payloads(self, make_cache, plan, tmp_path):
-        cache = make_cache()
+    def test_save_and_load_payloads(self, plan, tmp_path):
+        cache = PlanCache()
         cache.put(plan.fingerprint, plan)
         path = cache.save(tmp_path / "cache.json")
         payload = cache.get_payload(plan.fingerprint)
 
-        restored = make_cache()
+        restored = PlanCache()
         assert restored.load(path) == 1
         # Live plans are not reconstructed — get() reports a miss so callers
         # know they must plan — but payloads are served byte-identically.
@@ -159,57 +140,11 @@ class TestPersistence:
         assert restored.get_payload(plan.fingerprint) == payload
         assert restored.stats.hits == 1
 
-    def test_load_rejects_garbage(self, make_cache, tmp_path):
+    def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json")
         with pytest.raises(CacheError):
-            make_cache().load(path)
+            PlanCache().load(path)
         path.write_text('{"format_version": 99, "entries": {}}')
         with pytest.raises(CacheError):
-            make_cache().load(path)
-
-    def test_cross_implementation_roundtrip(self, plan, tmp_path):
-        """Snapshots written by either implementation load into the other."""
-        flat = PlanCache()
-        flat.put(plan.fingerprint, plan)
-        striped = StripedPlanCache(num_stripes=4)
-        assert striped.load(flat.save(tmp_path / "flat.json")) == 1
-        assert striped.get_payload(plan.fingerprint) == flat.get_payload(
-            plan.fingerprint
-        )
-        reread = PlanCache()
-        assert reread.load(striped.save(tmp_path / "striped.json")) == 1
-        assert reread.get_payload(plan.fingerprint) == flat.get_payload(
-            plan.fingerprint
-        )
-
-
-class TestStripedInternals:
-    def test_global_lru_across_stripes(self, plan):
-        """The trim victim is the globally least-recently-used entry even
-        when the stripes' local LRU orders disagree."""
-        cache = StripedPlanCache(capacity=3, num_stripes=4)
-        keys = ["a", "b", "c"]
-        for key in keys:
-            cache.put(key, plan)
-        assert len({cache.stripe_of(k) for k in keys}) > 1  # really striped
-        cache.get("a")  # oldest stamp now belongs to "b"
-        cache.put("d", plan)
-        assert cache.get("b") is None
-        assert all(cache.get(k) is plan for k in ("a", "c", "d"))
-
-    def test_stats_merge_over_stripes(self, plan):
-        cache = StripedPlanCache(num_stripes=4)
-        for key in ("a", "b", "c", "d"):
-            cache.put(key, plan)
-            cache.get(key)
-        cache.get("missing")
-        assert cache.stats.puts == 4
-        assert cache.stats.hits == 4
-        assert cache.stats.misses == 1
-
-    def test_journal_propagates_to_stripes(self):
-        cache = StripedPlanCache(num_stripes=2)
-        sentinel = object()
-        cache.journal = sentinel
-        assert all(stripe.journal is sentinel for stripe in cache.stripes)
+            PlanCache().load(path)

@@ -20,7 +20,6 @@ from repro.service import (
     PlanService,
     PlanServiceFleet,
     PlanCache,
-    StripedPlanCache,
     jump_consistent_hash,
     shard_for_fingerprint,
 )
@@ -179,8 +178,8 @@ class TestFleetServing:
                 assert reference is not None
                 assert canon(payload) == canon(reference)
 
-    def test_shared_striped_cache_serves_all_shards(self, cluster, tiny_tasks):
-        cache = StripedPlanCache(capacity=16, num_stripes=4)
+    def test_shared_cache_serves_all_shards(self, cluster, tiny_tasks):
+        cache = PlanCache(capacity=16)
         with PlanServiceFleet(
             lambda: ExecutionPlanner(cluster), num_shards=2, cache=cache
         ) as fleet:
@@ -188,6 +187,14 @@ class TestFleetServing:
             second = fleet.serialized_plan(tiny_tasks, timeout=30.0)
         assert first.encode() == second.encode()
         assert cache.stats.puts >= 1
+
+    def test_default_cache_is_one_plan_cache_of_the_fleet_capacity(self, cluster):
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), num_shards=3, capacity=5
+        ) as fleet:
+            assert type(fleet.cache) is PlanCache
+            assert fleet.cache.capacity == 5
+            assert all(shard.cache is fleet.cache for shard in fleet.shards)
 
     def test_closed_fleet_rejects_requests(self, cluster, tiny_tasks):
         fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)

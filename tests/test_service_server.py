@@ -18,17 +18,23 @@ from repro.service import (
 
 
 class GatedPlanner(ExecutionPlanner):
-    """Planner whose ``plan`` blocks on an event and counts invocations."""
+    """Planner whose ``plan`` blocks on an event and counts invocations.
+
+    ``entered`` is set once a worker is inside ``plan``, i.e. has dequeued a
+    request.
+    """
 
     def __init__(self, cluster, gate: threading.Event) -> None:
         super().__init__(cluster)
         self.gate = gate
+        self.entered = threading.Event()
         self.calls = 0
         self._count_lock = threading.Lock()
 
     def plan(self, workload, **kwargs) -> ExecutionPlan:
         with self._count_lock:
             self.calls += 1
+        self.entered.set()
         assert self.gate.wait(timeout=10.0), "test gate never opened"
         return super().plan(workload, **kwargs)
 
@@ -253,6 +259,9 @@ class TestShutdownUnderLoad:
             service.submit([chain_task_factory(f"queued-{i}", {"lm": 2})])
             for i in range(2)
         ]
+        # Close only once the worker holds the in-flight request; before
+        # that, cancel_pending would cancel it as queued work.
+        assert planner.entered.wait(timeout=30.0)
 
         closer = threading.Thread(
             target=service.close, kwargs={"cancel_pending": True}
