@@ -173,7 +173,6 @@ def render_elastic_result(result: "UnifiedRunResult") -> str:
             ["plan-cache hits", result.cache_hits],
             ["migrated state", format_gib(result.migration_bytes)],
             ["migration time", f"{result.migration_seconds:.3f} s"],
-            ["curve reuse rate", f"{result.curve_reuse_rate:.2f}"],
         ],
         title="elastic run summary",
     )

@@ -190,8 +190,7 @@ class TraceIdGenerator:
     """Mints deterministic request IDs: ``<fp prefix>-<seed>-<ordinal>``.
 
     The ordinal is a monotonic counter assigned under a lock in submission
-    order, so a serial same-seed replay mints identical IDs.  Share one
-    generator across the services of a pool so IDs stay unique pool-wide.
+    order, so a serial same-seed replay mints identical IDs.
 
     ``namespace`` scopes the ordinal stream: a fleet gives every shard its
     own generator namespaced by the shard ordinal

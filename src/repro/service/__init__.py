@@ -2,24 +2,28 @@
 
 Planning is a pure function of (task set, cluster, planner configuration), so
 identical and overlapping requests can be memoized and served concurrently
-instead of recomputed serially:
+instead of recomputed serially.  The serving front end is
+:class:`~repro.service.fleet.PlanServiceFleet`: :class:`PlanService` shards
+over one :class:`PlanCache`, persisted through :class:`PlanStore`
+partitions.
 
 * :mod:`repro.service.fingerprint` — canonical, order/naming-insensitive
   content hashes of planning requests,
 * :mod:`repro.service.cache` — a thread-safe LRU+TTL plan cache serving
   byte-identical serialized plans, with payload checksums and stale-entry
   retention for the degradation ladder,
-* :mod:`repro.service.server` — a concurrent plan service with a bounded
-  worker pool, request batching, single-flight deduplication and (opt-in)
-  retries, deadlines, circuit breaking, load shedding and graceful
+* :mod:`repro.service.server` — one plan-service shard: a bounded worker
+  pool draining its queue in batches, single-flight deduplication and
+  (opt-in) retries, deadlines, circuit breaking, load shedding and graceful
   degradation,
-* :mod:`repro.service.fleet` — a fingerprint-range-sharded fleet of plan
+* :mod:`repro.service.fleet` — the fingerprint-range-sharded fleet of plan
   services behind one routing front end, with one shared cache and
   per-shard store partitions,
 * :mod:`repro.service.resilience` — the resilience policy, circuit breaker
   and per-request :class:`~repro.service.resilience.PlanResponse` record,
-* :mod:`repro.service.store` — a crash-safe persistent plan store (atomic
-  snapshots, per-entry checksums, quarantine) for warm starts,
+* :mod:`repro.service.store` — the crash-safe persistent plan store (atomic
+  snapshots, per-entry checksums, quarantine) for warm starts; the cache's
+  only persistence path,
 * :mod:`repro.service.incremental` — incremental re-planning that pools
   per-MetaOp scalability curves across overlapping requests,
 * :mod:`repro.service.stats` — service-level throughput/latency/hit-rate
@@ -65,7 +69,6 @@ from repro.service.resilience import (
 from repro.service.server import (
     FingerprintMemo,
     PlanService,
-    PlanServicePool,
     ServiceError,
     ServiceOverloadError,
 )
@@ -104,7 +107,6 @@ __all__ = [
     "PlanResponse",
     "PlanService",
     "PlanServiceFleet",
-    "PlanServicePool",
     "PlanStore",
     "RESPONSE_DEGRADED",
     "RESPONSE_ERROR",

@@ -14,11 +14,11 @@ the least-recently-used entry is evicted once ``capacity`` is exceeded.
 Expired entries are not discarded outright: they move to a bounded stale side
 list, retrievable via :meth:`get_stale`, which is the "serve stale, flagged"
 tier of the service's degradation ladder — when planning itself is failing, a
-recently-expired plan beats no plan.  The cache can persist its payloads to a
-JSON file and reload them later; reloaded entries carry the payload only (the
-live plan objects are not reconstructed), which is what a serving tier
-restarted from a snapshot needs — :meth:`get` treats such entries as misses
-while :meth:`get_payload` serves them.
+recently-expired plan beats no plan.  :class:`~repro.service.store.PlanStore`
+persists the payloads and restores them through :meth:`put_payload`; restored
+entries carry the payload only (the live plan objects are not reconstructed),
+which is what a serving tier restarted from a snapshot needs — :meth:`get`
+treats such entries as misses while :meth:`get_payload` serves them.
 
 Rendered payloads carry a SHA-256 checksum computed at render time;
 :meth:`get_payload` re-verifies it on every serve and quarantines (drops and
@@ -38,19 +38,14 @@ was planned first.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 from repro.core.plan import ExecutionPlan
 from repro.core.serialization import plan_to_json
-
-#: Version tag of the persisted cache snapshot format.
-CACHE_SNAPSHOT_VERSION = 1
 
 
 def payload_checksum(payload: str) -> str:
@@ -338,53 +333,6 @@ class PlanCache:
     def fingerprints(self) -> list[str]:
         with self._lock:
             return list(self._entries)
-
-    # ------------------------------------------------------------ persistence
-    def save(self, path: str | Path) -> Path:
-        """Write the cached payloads (keyed by fingerprint) to ``path``."""
-        with self._lock:
-            for entry in self._entries.values():
-                entry.render()
-            snapshot = {
-                "format_version": CACHE_SNAPSHOT_VERSION,
-                "entries": {
-                    key: entry.payload for key, entry in self._entries.items()
-                },
-            }
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(snapshot), encoding="utf-8")
-        return path
-
-    def load(self, path: str | Path) -> int:
-        """Load payload-only entries from a snapshot; returns how many."""
-        try:
-            snapshot = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CacheError(f"Invalid cache snapshot {path}: {exc}") from exc
-        if snapshot.get("format_version") != CACHE_SNAPSHOT_VERSION:
-            raise CacheError(
-                f"Unsupported cache snapshot version "
-                f"{snapshot.get('format_version')!r}"
-            )
-        entries = snapshot.get("entries")
-        if not isinstance(entries, dict):
-            raise CacheError("Cache snapshot is missing its 'entries' mapping")
-        now = self._clock()
-        with self._lock:
-            for key, payload in entries.items():
-                if not isinstance(payload, str):
-                    raise CacheError(f"Snapshot entry {key!r} is not a payload string")
-                self._entries[key] = _CacheEntry(
-                    payload=payload,
-                    plan=None,
-                    inserted_at=now,
-                )
-                self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return len(entries)
 
     # -------------------------------------------------------------- internals
     def _expired(self, entry: _CacheEntry) -> bool:

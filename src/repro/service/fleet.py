@@ -124,7 +124,8 @@ class PlanServiceFleet:
         Pre-built shared cache; by default a :class:`PlanCache` of
         ``capacity`` entries.
     num_workers / max_batch_size / resilience:
-        Per-shard :class:`PlanService` configuration.
+        Per-shard :class:`PlanService` configuration; with ``resilience``
+        every shard keeps its own circuit breaker.
     store_dir:
         Directory of per-shard :class:`PlanStore` partitions
         (``shard-<ordinal>.json``).  With ``warm_start`` every partition is
@@ -234,34 +235,6 @@ class PlanServiceFleet:
         shard = self._route(fp)
         return shard.submit(workload, tenant=tenant, fingerprint=fp)
 
-    def submit_many(
-        self, workloads, *, tenant: str | None = None
-    ) -> "list[Future]":
-        """One dispatch cycle: fingerprint, group by shard, batch-submit.
-
-        Same-shard requests of the cycle are handed to their shard as one
-        batch (one :meth:`PlanService.submit_many` call per shard), and the
-        returned futures line up with ``workloads`` positionally.
-        """
-        snapshot = [
-            w if isinstance(w, ComputationGraph) else tuple(w) for w in workloads
-        ]
-        fps = [self.fingerprint(w) for w in snapshot]
-        groups: dict[int, list[int]] = {}
-        for index, fp in enumerate(fps):
-            groups.setdefault(self.shard_of(fp), []).append(index)
-        futures: list[Future | None] = [None] * len(snapshot)
-        for ordinal, indices in groups.items():
-            shard = self._route_ordinal(ordinal, count=len(indices))
-            batch = shard.submit_many(
-                [snapshot[i] for i in indices],
-                tenant=tenant,
-                fingerprints=[fps[i] for i in indices],
-            )
-            for i, future in zip(indices, batch):
-                futures[i] = future
-        return futures  # type: ignore[return-value]
-
     def plan(
         self,
         workload: PlannerInput,
@@ -360,13 +333,11 @@ class PlanServiceFleet:
 
     # ----------------------------------------------------------- internals
     def _route(self, fingerprint: str) -> PlanService:
-        return self._route_ordinal(self.shard_of(fingerprint))
-
-    def _route_ordinal(self, ordinal: int, count: int = 1) -> PlanService:
+        ordinal = self.shard_of(fingerprint)
         with self._lock:
             if self._closed:
                 raise FleetError("PlanServiceFleet is closed")
-            self._shard_requests[ordinal] += count
+            self._shard_requests[ordinal] += 1
         return self.shards[ordinal]
 
     def _parallel_warm_start(self) -> int:

@@ -7,8 +7,8 @@ mechanics live in :mod:`repro.service.server`):
   with exponential backoff plus seeded jitter, circuit-breaker thresholds,
   bounded-queue admission control, and the degradation ladder toggles.
 * :class:`CircuitBreaker` — a per-service (hence, in a
-  :class:`~repro.service.server.PlanServicePool`, per-topology-signature)
-  closed → open → half-open breaker over consecutive solve failures.
+  :class:`~repro.service.fleet.PlanServiceFleet`, per-shard) closed → open →
+  half-open breaker over consecutive solve failures.
 * :class:`PlanResponse` — the per-request resolution record: exactly one
   outcome (``served`` / ``degraded`` / ``shed`` / ``error``) plus the ladder
   tier that produced it, which is the unit the chaos invariants quantify

@@ -219,8 +219,8 @@ class PlanService:
         is enabled, since the synthetic profiler's RNG is per-planner).
     cache:
         Plan cache consulted before planning and populated after; a default
-        unbounded-TTL cache of 64 entries is created when omitted.  Pass a
-        shared cache to pool plans across services.
+        unbounded-TTL cache of 64 entries is created when omitted.  A fleet
+        passes every shard its one shared cache.
     num_workers:
         Size of the bounded worker pool.
     max_batch_size:
@@ -248,8 +248,8 @@ class PlanService:
         Optional :class:`~repro.obs.slo.SloTracker` fed one sample per
         resolved request (outcome, latency, tenant, topology).
     trace_ids:
-        Optional shared :class:`~repro.obs.telemetry.TraceIdGenerator`
-        (a pool passes one across its per-topology services); by default a
+        Optional :class:`~repro.obs.telemetry.TraceIdGenerator` (a fleet
+        passes each shard one namespaced by its ordinal); by default a
         private generator seeded with ``trace_seed``.
     label:
         Scope label stamped on journal events and SLO samples (``topology``
@@ -505,31 +505,6 @@ class PlanService:
                 metrics.inc("service.cache", outcome=OUTCOME_MISS)
                 span.set(outcome=OUTCOME_MISS)
             return future
-
-    def submit_many(
-        self,
-        workloads: "list[PlannerInput]",
-        *,
-        tenant: str | None = None,
-        fingerprints: "list[str] | None" = None,
-    ) -> "list[Future]":
-        """Submit one dispatch cycle's worth of requests, in order.
-
-        The fleet router groups same-shard requests per dispatch cycle and
-        hands each shard its group through this entry point; duplicates
-        within the batch coalesce exactly as serial :meth:`submit` calls
-        would (the first is the single-flight leader).
-        """
-        if fingerprints is not None and len(fingerprints) != len(workloads):
-            raise ServiceError("fingerprints must match workloads one-to-one")
-        return [
-            self.submit(
-                workload,
-                tenant=tenant,
-                fingerprint=fingerprints[i] if fingerprints is not None else None,
-            )
-            for i, workload in enumerate(workloads)
-        ]
 
     def plan(
         self,
@@ -1126,148 +1101,3 @@ class PlanService:
             reference = self._reference_planner
         return reference.plan(workload, fingerprint=fp)
 
-
-class PlanServicePool:
-    """One :class:`PlanService` per topology signature, sharing cache + stats.
-
-    Elastic training runs replan whenever the substrate changes, and several
-    concurrent jobs on one cluster walk through the *same* derived topologies
-    (the same failure produces the same snapshot).  Routing every replan
-    through a pool keyed by topology signature (``UnifiedRunner(...,
-    planning_service=pool)``) gives those jobs:
-
-    * **shared plans** — one fingerprint-keyed :class:`PlanCache` across all
-      topologies of the pool, so a substrate one job already planned for is a
-      cache hit for every other job;
-    * **single-flight replanning** — jobs replanning the same workload on the
-      same topology at the same moment coalesce onto one planner run inside
-      the topology's service;
-    * **curve pooling per substrate** — each service wraps its planner in an
-      :class:`~repro.service.incremental.IncrementalPlanner`, so curves warm
-      up across successive replans on a recurring topology but never leak
-      across topologies;
-    * **resilience per substrate** — with a ``resilience`` policy every
-      per-topology service gets its own circuit breaker (keyed, therefore,
-      by topology signature) while sharing one fault injector and one
-      admission-control policy;
-    * **durability** — with a ``store`` the shared cache is warm-started
-      from the last snapshot at construction and persisted (atomically,
-      checksummed) by :meth:`persist` and on :meth:`close`.
-
-    Parameters
-    ----------
-    planner_factory:
-        Builds the :class:`ExecutionPlanner` for a derived topology (same
-        contract as :class:`~repro.unified.runtime.UnifiedRunner`'s
-        ``planner_factory``).
-    cache / stats:
-        Shared across every service of the pool; fresh ones are created when
-        omitted.
-    num_workers / max_batch_size:
-        Per-topology service worker-pool configuration.
-    resilience / fault_injector:
-        Forwarded to every per-topology service.
-    store:
-        Optional :class:`~repro.service.store.PlanStore`; loaded into the
-        shared cache now (``warm_start``) and saved on :meth:`persist` /
-        :meth:`close`.
-    journal / slo:
-        Shared telemetry journal and SLO tracker, forwarded to every
-        per-topology service; one :class:`TraceIdGenerator` (seeded with
-        ``trace_seed``) is shared pool-wide so trace IDs stay unique across
-        topologies.
-    """
-
-    def __init__(
-        self,
-        planner_factory: Callable[[ClusterTopology], ExecutionPlanner],
-        *,
-        cache: PlanCache | None = None,
-        stats: ServiceStats | None = None,
-        num_workers: int = 2,
-        max_batch_size: int = 8,
-        resilience: ResiliencePolicy | None = None,
-        fault_injector=None,
-        store=None,
-        warm_start: bool = True,
-        journal: TelemetryJournal | None = None,
-        slo=None,
-        trace_seed: int = 0,
-    ) -> None:
-        self.planner_factory = planner_factory
-        self.cache = cache if cache is not None else PlanCache(capacity=64)
-        self.stats = stats if stats is not None else ServiceStats()
-        self.num_workers = num_workers
-        self.max_batch_size = max_batch_size
-        self.resilience = resilience
-        self.fault_injector = fault_injector
-        self.store = store
-        self.journal = journal
-        self.slo = slo
-        self.trace_ids = TraceIdGenerator(trace_seed)
-        self._services: dict[str, PlanService] = {}
-        self._lock = threading.Lock()
-        self._closed = False
-        self.warm_started = 0
-        if store is not None and warm_start:
-            self.warm_started = store.load_into(self.cache).loaded
-
-    def service_for(self, topology: ClusterTopology) -> PlanService:
-        """The (shared) service planning for ``topology``'s signature."""
-        signature = topology.signature()
-        with self._lock:
-            if self._closed:
-                raise ServiceError("PlanServicePool is closed")
-            service = self._services.get(signature)
-            if service is None:
-                service = PlanService(
-                    IncrementalPlanner(self.planner_factory(topology)),
-                    cache=self.cache,
-                    stats=self.stats,
-                    num_workers=self.num_workers,
-                    max_batch_size=self.max_batch_size,
-                    resilience=self.resilience,
-                    fault_injector=self.fault_injector,
-                    journal=self.journal,
-                    slo=self.slo,
-                    trace_ids=self.trace_ids,
-                )
-                self._services[signature] = service
-        return service
-
-    @property
-    def num_services(self) -> int:
-        with self._lock:
-            return len(self._services)
-
-    def persist(self) -> bool:
-        """Snapshot the shared cache through the store (atomic, checksummed).
-
-        Returns whether a snapshot was written; injected or real persistence
-        I/O errors are absorbed (the previous snapshot stays intact) and
-        reported as ``False``.
-        """
-        if self.store is None:
-            return False
-        try:
-            self.store.save(self.cache)
-        except OSError:
-            return False
-        return True
-
-    def close(self, wait: bool = True, cancel_pending: bool = False) -> None:
-        """Shut every per-topology service down (persisting first)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            services = list(self._services.values())
-        self.persist()
-        for service in services:
-            service.close(wait=wait, cancel_pending=cancel_pending)
-
-    def __enter__(self) -> "PlanServicePool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

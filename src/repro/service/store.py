@@ -25,8 +25,13 @@ Format v2 (one JSON document)::
      "entry_count": N,
      "entries": {fingerprint: {"payload": str, "checksum": sha256}}}
 
-Legacy v1 snapshots (written by ``PlanCache.save``; payloads without
-checksums) load with verification skipped.
+Legacy v1 snapshots, written by the plan cache before this store existed,
+map fingerprints straight to payloads without checksums::
+
+    {"format_version": 1, "entries": {fingerprint: payload}}
+
+They load with verification skipped; :meth:`PlanStore.compact` rewrites them
+as v2.
 
 Fault injection: pass a :class:`~repro.faults.injection.FaultInjector` and
 every save first consults :meth:`~repro.faults.injection.FaultInjector.on_persist`,
@@ -42,12 +47,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs import get_metrics
-from repro.service.cache import (
-    CACHE_SNAPSHOT_VERSION,
-    PlanCache,
-    payload_checksum,
-)
+from repro.service.cache import PlanCache, payload_checksum
 
+#: Version tag of the legacy, unchecksummed snapshot format (read only).
+CACHE_SNAPSHOT_VERSION = 1
 #: Version tag of the checksummed store snapshot format.
 STORE_FORMAT_VERSION = 2
 
@@ -206,9 +209,9 @@ class PlanStore:
         """Load the snapshot into ``cache``; quarantine corrupt entries.
 
         Intact entries land as payload-only cache entries (served by
-        ``get_payload``/``get_stale``; ``get`` still misses, exactly like
-        ``PlanCache.load``).  Returns how many loaded and what was
-        quarantined; a missing snapshot file loads nothing.
+        ``get_payload``/``get_stale``; ``get`` still misses).  Returns how
+        many loaded and what was quarantined; a missing snapshot file loads
+        nothing.
         """
         result = StoreLoadResult()
         if not self.path.is_file():
@@ -277,7 +280,7 @@ class PlanStore:
     def _load_v1(
         self, snapshot: dict, cache: PlanCache, result: StoreLoadResult
     ) -> StoreLoadResult:
-        """Legacy ``PlanCache.save`` snapshots: no checksums to verify."""
+        """Legacy v1 snapshots: no checksums to verify."""
         entries = snapshot.get("entries")
         if not isinstance(entries, dict):
             raise StoreError(f"Snapshot {self.path} is missing its 'entries' mapping")

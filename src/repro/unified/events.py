@@ -133,7 +133,11 @@ class UnifiedTimeline:
         cluster_events: EventTimeline | None = None,
         workload_events: Sequence[WorkloadEvent] = (),
     ) -> None:
-        self.cluster_events = cluster_events or EventTimeline()
+        # ``is None``, not ``or``: an empty timeline is falsy, and a caller's
+        # fresh timeline must stay the one this timeline reads and extends.
+        self.cluster_events = (
+            cluster_events if cluster_events is not None else EventTimeline()
+        )
         self._workload_events: list[WorkloadEvent] = []
         for event in workload_events:
             self.add_workload(event)

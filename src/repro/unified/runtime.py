@@ -17,8 +17,7 @@ is lifted in by :meth:`UnifiedScenario.from_dynamic`.  Per event group (see
    :class:`~repro.service.incremental.IncrementalPlanner` instances — with
    ``reuse_levels=True`` in incremental mode, so structurally unchanged
    MetaLevels (or entire plans, on in-place job churn) are adopted instead of
-   re-solved — and a shared fingerprint-keyed plan cache, or through a shared
-   :class:`~repro.service.server.PlanServicePool`,
+   re-solved — and a fingerprint-keyed plan cache, which runs may share,
 5. charges the switch with the elastic cost models
    (:class:`~repro.elastic.migration.MigrationCostModel`,
    :class:`~repro.elastic.migration.ReplanCostModel`).
@@ -40,7 +39,6 @@ the tests pin.  Replan latency lands in the
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -63,7 +61,6 @@ from repro.runtime.engine import RuntimeEngine
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import fingerprint_workload
 from repro.service.incremental import IncrementalPlanner
-from repro.service.server import PlanServicePool, ServiceError
 from repro.unified.events import (
     PHASE_CHANGE,
     TASK_ARRIVAL,
@@ -447,19 +444,6 @@ class UnifiedRunResult:
         )
 
     @property
-    def curve_reuse_rate(self) -> float:
-        """Share of scaling curves pooled rather than profiled, over the
-        replans the plan cache did not serve; not in :meth:`to_document`,
-        which carries the per-replan counts."""
-        reused = estimated = 0
-        for outcome in self.outcomes:
-            if outcome.replan is not None and not outcome.replan.cache_hit:
-                reused += outcome.replan.curves_reused
-                estimated += outcome.replan.curves_estimated
-        total = reused + estimated
-        return reused / total if total else 0.0
-
-    @property
     def levels_reused(self) -> int:
         """MetaLevel allocations adopted across all replans (out-of-band)."""
         total = 0
@@ -523,21 +507,15 @@ class UnifiedRunner:
         Fingerprint-keyed cache shared across all topologies of the run.  A
         substrate that heals back to a known topology, or a phase change back
         to a structurally known task set (fingerprints are
-        naming-insensitive), re-serves its plan without planning.
+        naming-insensitive), re-serves its plan without planning.  Pass one
+        cache to several runners to share plans across runs: a later run
+        then re-serves every plan an earlier one solved.
     incremental:
         ``True`` (default) plans with ``reuse_levels`` — structurally
         unchanged MetaLevels/plans are adopted.  ``False`` is the retained
         full-replan reference: same plans, same canonical report, more
         planner wall-clock.  The equivalence tests run every scenario in both
         modes and require identical fingerprints and documents.
-    planning_service:
-        Optional :class:`~repro.service.server.PlanServicePool` to route
-        every plan request through instead of this runner's own planners and
-        cache, so it excludes ``planner_factory`` and ``plan_cache``.  Runs
-        sharing one pool share its plan cache and coalesce simultaneous
-        identical replans onto one planner run.  The pool's planners keep no
-        previous plan, so ``incremental`` does not apply: ``levels_reused``
-        stays 0 and the result's ``mode`` reads ``"service"``.
     """
 
     def __init__(
@@ -549,15 +527,7 @@ class UnifiedRunner:
         planner_factory: PlannerFactory | None = None,
         plan_cache: PlanCache | None = None,
         incremental: bool = True,
-        planning_service: PlanServicePool | None = None,
     ) -> None:
-        if planning_service is not None and (
-            planner_factory is not None or plan_cache is not None
-        ):
-            raise ValueError(
-                "planning_service replaces planner_factory and plan_cache; "
-                "pass either the pool or the runner's own planners"
-            )
         self.scenario = scenario
         self.policy = policy or SlowdownThresholdPolicy()
         self.migration_model = migration_model or MigrationCostModel()
@@ -565,9 +535,12 @@ class UnifiedRunner:
         self.planner_factory = planner_factory or (
             lambda cluster: ExecutionPlanner(cluster)
         )
-        self.plan_cache = plan_cache or PlanCache(capacity=64)
+        # An empty cache is falsy (``PlanCache`` has ``__len__``), so test
+        # for ``None``: a caller's fresh shared cache must not be replaced.
+        self.plan_cache = (
+            plan_cache if plan_cache is not None else PlanCache(capacity=64)
+        )
         self.incremental = incremental
-        self.planning_service = planning_service
         self._planners: dict[str, IncrementalPlanner] = {}
 
     # ------------------------------------------------------------- public API
@@ -583,7 +556,7 @@ class UnifiedRunner:
         result = UnifiedRunResult(
             scenario_name=scenario.name,
             policy=self.policy.describe(),
-            mode=self._mode(),
+            mode="incremental" if self.incremental else "full",
             total_iterations=scenario.total_iterations,
             baseline_iteration_seconds=iteration_seconds,
             initial_plan=initial_record,
@@ -698,44 +671,33 @@ class UnifiedRunner:
             self._planners[signature] = incremental
         return incremental
 
-    def _mode(self) -> str:
-        if self.planning_service is not None:
-            return "service"
-        return "incremental" if self.incremental else "full"
-
     def _plan(
         self, active: Sequence[str], snapshot: ElasticSnapshot
     ) -> tuple[ExecutionPlan, UnifiedReplanRecord]:
         """Plan the active task set on the snapshot's topology.
 
         The fingerprint-keyed cache is consulted first (hits charge the
-        cache-hit cost); misses solve on the topology's planner, or block on
-        the pool's service, where identical concurrent requests coalesce.
-        Either way replans land in the ``elastic.replan_seconds{policy=...}``
+        cache-hit cost); misses solve on the topology's planner and fill the
+        cache.  Replans land in the ``elastic.replan_seconds{policy=...}``
         histogram and ``elastic.replans{outcome=...}`` counters (see
         ``docs/observability.md``).
         """
         tasks = tuple(self.scenario.task_pool[name] for name in active)
-        if self.planning_service is not None:
-            service = self.planning_service.service_for(snapshot.topology)
-            fingerprint = service.fingerprint(tasks)
-            cache = service.cache
-            solve = functools.partial(self._request, service, tasks, fingerprint, snapshot)
-        else:
-            incremental = self._planner_for(snapshot.topology)
-            fingerprint = fingerprint_workload(
-                tasks, incremental.planner.cluster, incremental.planner.config_signature()
-            )
-            cache = self.plan_cache
-            solve = functools.partial(self._solve, incremental, tasks, fingerprint)
-        cached = cache.get(fingerprint)
+        incremental = self._planner_for(snapshot.topology)
+        fingerprint = fingerprint_workload(
+            tasks, incremental.planner.cluster, incremental.planner.config_signature()
+        )
+        cached = self.plan_cache.get(fingerprint)
         if cached is not None:
             get_metrics().inc("elastic.replans", outcome="cache_hit")
             return cached, self._cache_hit_record(cached)
         with get_tracer().timed(
             "unified.replan", category="unified", policy=self.policy.describe()
         ) as span:
-            plan, levels_reused = solve()
+            before_levels = incremental.stats.levels_reused
+            plan = incremental.plan(tasks, fingerprint=fingerprint)
+            self.plan_cache.put(fingerprint, plan)
+            levels_reused = incremental.stats.levels_reused - before_levels
         measured = span.seconds
         metrics = get_metrics()
         metrics.observe(
@@ -755,34 +717,6 @@ class UnifiedRunner:
             curves_estimated=estimated,
             levels_reused=levels_reused,
         )
-
-    def _solve(
-        self, incremental: IncrementalPlanner, tasks, fingerprint: str
-    ) -> tuple[ExecutionPlan, int]:
-        """Plan on the runner's own planner and cache the result; returns the
-        plan and the MetaLevel allocations it adopted."""
-        before_levels = incremental.stats.levels_reused
-        plan = incremental.plan(tasks, fingerprint=fingerprint)
-        self.plan_cache.put(fingerprint, plan)
-        return plan, incremental.stats.levels_reused - before_levels
-
-    @staticmethod
-    def _request(
-        service, tasks, fingerprint: str, snapshot: ElasticSnapshot
-    ) -> tuple[ExecutionPlan, int]:
-        """Block on the pool's service, which caches what it plans; a
-        degraded plan (stale, incremental or reference tier) still installs,
-        counted as ``elastic.replans{outcome=degraded}``.  The pool's
-        planners keep no previous plan, so no MetaLevel is ever adopted."""
-        response = service.request(tasks, fingerprint=fingerprint)
-        if not response.ok or response.plan is None:
-            raise ServiceError(
-                f"plan service failed replanning for {snapshot.signature[:12]}: "
-                f"{response.error}"
-            )
-        if response.degraded:
-            get_metrics().inc("elastic.replans", outcome="degraded", tier=response.tier)
-        return response.plan, 0
 
     def _cache_hit_record(self, plan: ExecutionPlan) -> UnifiedReplanRecord:
         return UnifiedReplanRecord(

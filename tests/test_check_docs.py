@@ -108,3 +108,85 @@ def test_github_slugs(check_docs):
     assert check_docs.github_slug("The benchmark registry (`repro bench`)") == (
         "the-benchmark-registry-repro-bench"
     )
+
+
+def _source_tree(tmp_path):
+    """A minimal ``src/repro`` package for the name checks."""
+    _page(tmp_path, "src/repro/__init__.py", "")
+    _page(
+        tmp_path,
+        "src/repro/service.py",
+        "from json import dumps\n\n"
+        "CacheKey = str\n\n\n"
+        "class PlanCache:\n"
+        "    capacity: int = 8\n\n"
+        "    def __init__(self):\n"
+        "        self.stats = {}\n\n"
+        "    def get(self, key):\n"
+        "        return None\n\n\n"
+        "class PlanStore(PlanCache):\n"
+        "    pass\n",
+    )
+
+
+def test_defined_names_and_members_pass(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(
+        tmp_path,
+        "README.md",
+        "# Title\n\n`PlanCache`, `PlanCache(capacity=4)`, `PlanCache.get`, "
+        "`PlanCache.stats`, `PlanStore.capacity`, `CacheKey`, `ValueError`,\n"
+        "`repro.service`, `repro.service.PlanCache` and `repro.service.dumps`.\n",
+    )
+    assert check_docs.check_pages(
+        check_docs.default_targets(tmp_path), tmp_path
+    ) == []
+
+
+def test_unknown_class_name_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(tmp_path, "README.md", "# Title\n\nUse `NoSuchClass(cache=...)`.\n")
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert len(problems) == 1
+    assert "`NoSuchClass(cache=...)` names nothing defined under src/" in problems[0]
+
+
+def test_unknown_member_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(tmp_path, "README.md", "# Title\n\nCall `PlanStore.save`.\n")
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert len(problems) == 1
+    assert "PlanStore has no member save" in problems[0]
+
+
+def test_fenced_code_spans_are_not_name_checked(check_docs, tmp_path):
+    """Names a code example defines for itself are not src/ names; only
+    its ``repro`` paths are checked."""
+    _source_tree(tmp_path)
+    _page(
+        tmp_path,
+        "README.md",
+        "# Title\n\n```python\nfrom repro.service import PlanCache\n\n\n"
+        "class MyPlanner:\n    \"\"\"A `MyPlanner` caches in `PlanCache`.\"\"\"\n"
+        "```\n\nThen `MyPlanner`.\n",
+    )
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert len(problems) == 1
+    assert ":11: `MyPlanner` names nothing defined under src/" in problems[0]
+
+
+def test_unknown_module_path_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(
+        tmp_path,
+        "README.md",
+        "# Title\n\nSee repro.no_such_module and `repro.service.Gone`.\n\n"
+        "```python\nfrom repro.no_such_module import x\n```\n",
+    )
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert [p.split(": ", 1)[1].split(" is ")[0] for p in problems] == [
+        "repro.no_such_module",
+        "repro.service.Gone",
+        "repro.no_such_module",
+    ]
+    assert all("is no module under src/" in p for p in problems)

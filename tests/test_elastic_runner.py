@@ -9,7 +9,6 @@ import json
 import pytest
 
 from repro.cluster.device import A800_SPEC, TEST_GPU_SPEC
-from repro.core.planner import ExecutionPlanner
 from repro.elastic import (
     ClusterEvent,
     ElasticClusterView,
@@ -29,8 +28,7 @@ from repro.elastic.events import (
     STRAGGLER_CLEAR,
     STRAGGLER_ONSET,
 )
-from repro.obs import get_metrics
-from repro.service import PlanCache, PlanServicePool, ResiliencePolicy, ServiceError
+from repro.service import PlanCache
 from repro.unified import (
     UnifiedRunError,
     UnifiedRunner,
@@ -265,17 +263,8 @@ class TestReportDeterminism:
             sum(m["moved_bytes"] + m["restored_bytes"] for m in migrations)
         )
         assert result.migration_bytes > 0
-        planned = [
-            e["replan"]
-            for e in document["events"]
-            if e["replan"] and not e["replan"]["cache_hit"]
-        ]
-        reused = sum(r["curves_reused"] for r in planned)
-        total = reused + sum(r["curves_estimated"] for r in planned)
-        assert result.curve_reuse_rate == (reused / total if total else 0.0)
-        # Both totals are derived from the per-event documents only.
+        # The total is derived from the per-event documents only.
         assert "migration_bytes" not in document
-        assert "curve_reuse_rate" not in document
 
 
 class TestStaySlowdown:
@@ -384,47 +373,67 @@ def arrival_during_outage_scenario():
     return scenario_with(timeline, spare=[spare])
 
 
-class FailingPlanner(ExecutionPlanner):
-    """A planner whose optimized solve always fails."""
+def plans_and_training(result):
+    """The run's document without what a cache hit changes: the replan
+    records and the overhead they charge."""
+    document = result.to_document()
+    return {
+        "training_seconds": document["training_seconds"],
+        "migration_seconds": document["migration_seconds"],
+        "replan_count": document["replan_count"],
+        "segments": document["segments"],
+        "events": [
+            {key: value for key, value in event.items() if key != "replan"}
+            for event in document["events"]
+        ],
+    }
 
-    def plan(self, workload, **kwargs):
-        raise RuntimeError("planner down")
 
-
-class TestPlanServicePoolRuns:
+class TestSharedPlanCacheRuns:
     @pytest.mark.parametrize(
         "scenario", [island_outage_scenario, arrival_during_outage_scenario]
     )
-    def test_service_backed_run_matches_direct_run(self, scenario):
+    def test_warm_cache_run_matches_direct_run(self, scenario):
+        """A run served entirely from plans another run solved trains on the
+        same plans, segments and migrations as a run that solves its own."""
         direct = UnifiedRunner(scenario(), policy=ImmediateReplanPolicy()).run()
-        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            served = UnifiedRunner(
-                scenario(),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run()
-        assert json.dumps(direct.to_document(), sort_keys=True) == json.dumps(
-            served.to_document(), sort_keys=True
+        shared = PlanCache()
+        UnifiedRunner(
+            scenario(), policy=ImmediateReplanPolicy(), plan_cache=shared
+        ).run()
+        warm = UnifiedRunner(
+            scenario(), policy=ImmediateReplanPolicy(), plan_cache=shared
+        ).run()
+        assert warm.initial_plan.cache_hit
+        assert warm.replan_count > 0
+        assert all(
+            outcome.replan.cache_hit
+            for outcome in warm.outcomes
+            if outcome.replan is not None
+        )
+        assert json.dumps(plans_and_training(warm), sort_keys=True) == json.dumps(
+            plans_and_training(direct), sort_keys=True
         )
 
-    def test_concurrent_jobs_share_plans_through_the_pool(self):
+    def test_jobs_share_plans_through_one_plan_cache(self):
+        """Runs handed one fresh cache share it: the second job's initial
+        plan and every replan are hits on the plans the first job solved."""
+
         def timeline():
             return island_outage_timeline(1, 4, at_iteration=20, recovery_at=40)
 
-        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            first = UnifiedRunner(
+        shared = PlanCache()
+        runners = [
+            UnifiedRunner(
                 scenario_with(timeline()),
                 policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run()
-            second = UnifiedRunner(
-                scenario_with(timeline()),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run()
-            # The recovery heals back to the initial topology's signature, so
-            # the run touches two distinct substrates: healthy and outage.
-            assert pool.num_services == 2
+                plan_cache=shared,
+            )
+            for _ in range(2)
+        ]
+        assert all(runner.plan_cache is shared for runner in runners)
+        first = runners[0].run()
+        second = runners[1].run()
         assert not first.initial_plan.cache_hit
         # Every plan the second job needs is already in the shared cache.
         assert second.initial_plan.cache_hit
@@ -434,39 +443,3 @@ class TestPlanServicePoolRuns:
             if outcome.replan is not None
         )
         assert second.overhead_seconds < first.overhead_seconds
-
-    def test_degraded_replans_install_and_are_counted(self):
-        metrics = get_metrics()
-        before = metrics.snapshot()
-        resilience = ResiliencePolicy(max_attempts=1, breaker_failure_threshold=0)
-        with PlanServicePool(FailingPlanner, resilience=resilience) as pool:
-            result = UnifiedRunner(
-                island_outage_scenario(),
-                policy=ImmediateReplanPolicy(),
-                planning_service=pool,
-            ).run()
-        # The reference tier serves the initial plan and the outage replan.
-        assert result.replan_count == 2
-        assert sum(s.num_iterations for s in result.segments) == 60
-        delta = metrics.snapshot().diff(before)
-        assert delta.counters["elastic.replans{outcome=degraded,tier=reference}"] >= 2
-
-    def test_pool_route_is_labelled_and_excludes_the_runners_own_planners(self):
-        with PlanServicePool(lambda cluster: ExecutionPlanner(cluster)) as pool:
-            result = UnifiedRunner(island_outage_scenario(), planning_service=pool).run()
-            assert result.mode == "service"
-            with pytest.raises(ValueError, match="planning_service"):
-                UnifiedRunner(
-                    island_outage_scenario(), plan_cache=PlanCache(), planning_service=pool
-                )
-            with pytest.raises(ValueError, match="planning_service"):
-                UnifiedRunner(
-                    island_outage_scenario(),
-                    planner_factory=lambda cluster: ExecutionPlanner(cluster),
-                    planning_service=pool,
-                )
-
-    def test_unserved_replan_raises_service_error(self):
-        with PlanServicePool(FailingPlanner) as pool:
-            with pytest.raises(ServiceError):
-                UnifiedRunner(island_outage_scenario(), planning_service=pool).run()

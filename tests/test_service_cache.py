@@ -122,29 +122,3 @@ class TestStats:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
         assert cache.stats.as_dict()["puts"] == 1
-
-
-class TestPersistence:
-    def test_save_and_load_payloads(self, plan, tmp_path):
-        cache = PlanCache()
-        cache.put(plan.fingerprint, plan)
-        path = cache.save(tmp_path / "cache.json")
-        payload = cache.get_payload(plan.fingerprint)
-
-        restored = PlanCache()
-        assert restored.load(path) == 1
-        # Live plans are not reconstructed — get() reports a miss so callers
-        # know they must plan — but payloads are served byte-identically.
-        assert restored.get(plan.fingerprint) is None
-        assert restored.stats.misses == 1
-        assert restored.get_payload(plan.fingerprint) == payload
-        assert restored.stats.hits == 1
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json")
-        with pytest.raises(CacheError):
-            PlanCache().load(path)
-        path.write_text('{"format_version": 99, "entries": {}}')
-        with pytest.raises(CacheError):
-            PlanCache().load(path)

@@ -14,12 +14,17 @@ import pytest
 from repro.cluster.topology import make_cluster
 from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults.plan import PERSIST_ERROR
 from repro.obs import TelemetryJournal
 from repro.service import (
+    OUTCOME_COALESCED,
+    OUTCOME_MISS,
     FleetError,
     PlanService,
     PlanServiceFleet,
     PlanCache,
+    PlanStore,
     jump_consistent_hash,
     shard_for_fingerprint,
 )
@@ -119,32 +124,80 @@ class TestFleetServing:
         assert max(census) == 2  # canonical fingerprint -> same shard twice
 
     def test_coalescing_across_entry_points(self, cluster, tiny_tasks):
-        """The same fingerprint submitted through submit(), submit_many() and
-        plan()-bound threads coalesces to a single solve fleet-wide."""
+        """The same fingerprint submitted in two task orders coalesces onto
+        one in-flight future, and a later request() is a hit on its solve:
+        one solve fleet-wide."""
         gate = threading.Event()
         factory = CountingFactory(cluster, gate)
         fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
         try:
             direct = fleet.submit(tiny_tasks)
-            batch = fleet.submit_many([tiny_tasks, list(reversed(tiny_tasks))])
-            assert fleet.pending_requests() == 1  # all three coalesced
+            reordered = fleet.submit(list(reversed(tiny_tasks)))
+            assert reordered is direct  # single-flight hands out the leader
+            assert fleet.pending_requests() == 1
             gate.set()
-            wait([direct, *batch], timeout=30.0)
-            assert direct.result().fingerprint == batch[1].result().fingerprint
+            wait([direct], timeout=30.0)
+            response = fleet.request(tiny_tasks, timeout=30.0)
+            assert response.plan is direct.result()
         finally:
             gate.set()
             fleet.close()
         assert factory.calls == 1
 
-    def test_submit_many_preserves_input_order(self, cluster, tiny_tasks):
+    def test_concurrent_jobs_coalesce_onto_one_solve(self, cluster, tiny_tasks):
+        """Jobs submitting the same workload from their own threads, in either
+        task order, while it is being solved all get the one in-flight
+        future."""
+        gate = threading.Event()
+        factory = CountingFactory(cluster, gate)
+        fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
+        futures = []
+        lock = threading.Lock()
+
+        def job(index):
+            workload = tiny_tasks if index % 2 else list(reversed(tiny_tasks))
+            future = fleet.submit(workload)
+            with lock:
+                futures.append(future)
+
+        threads = [threading.Thread(target=job, args=(i,)) for i in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert len(futures) == 8
+            assert all(future is futures[0] for future in futures[1:])
+            gate.set()
+            plan = futures[0].result(timeout=30.0)
+        finally:
+            gate.set()
+            fleet.close()
+        assert factory.calls == 1
+        assert plan.fingerprint == fleet.fingerprint(tiny_tasks)
+        assert fleet.stats.count(OUTCOME_MISS) == 1
+        assert fleet.stats.count(OUTCOME_COALESCED) == 7
+
+    def test_distinct_workloads_resolve_to_their_own_plans(
+        self, cluster, tiny_tasks
+    ):
+        """Workloads in flight together on different shards each resolve to
+        the plan of their own fingerprint."""
         workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4
-        ) as fleet:
-            futures = fleet.submit_many(workloads)
+        gate = threading.Event()
+        factory = CountingFactory(cluster, gate)
+        fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
+        try:
+            futures = [fleet.submit(workload) for workload in workloads]
+            assert len({id(future) for future in futures}) == len(workloads)
+            gate.set()
             wait(futures, timeout=30.0)
-            expected = [fleet.fingerprint(w) for w in workloads]
-        assert [f.result().fingerprint for f in futures] == expected
+            expected = [fleet.fingerprint(workload) for workload in workloads]
+            assert [f.result().fingerprint for f in futures] == expected
+        finally:
+            gate.set()
+            fleet.close()
+        assert factory.calls == len(workloads)
 
     def test_fleet_payloads_match_single_service(self, cluster, tiny_tasks):
         workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
@@ -195,12 +248,23 @@ class TestFleetServing:
             assert type(fleet.cache) is PlanCache
             assert fleet.cache.capacity == 5
             assert all(shard.cache is fleet.cache for shard in fleet.shards)
+            assert fleet.stores == [] and fleet.persist() == 0  # no store_dir
 
     def test_closed_fleet_rejects_requests(self, cluster, tiny_tasks):
         fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)
         fleet.close()
         with pytest.raises(FleetError):
             fleet.submit(tiny_tasks)
+
+    @pytest.mark.parametrize("entry_point", ["plan", "request"])
+    def test_closed_fleet_rejects_every_entry_point(
+        self, cluster, tiny_tasks, entry_point
+    ):
+        fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)
+        fleet.close()
+        with pytest.raises(FleetError):
+            getattr(fleet, entry_point)(tiny_tasks, timeout=30.0)
+        assert fleet.shard_census() == [0, 0]
 
     def test_invalid_shard_count_rejected(self, cluster):
         with pytest.raises(FleetError):
@@ -310,3 +374,76 @@ class TestPartitionedPersistence:
         # The shrunk fleet rewrote the directory down to its own partitions.
         names = sorted(p.name for p in tmp_path.glob("shard-*.json"))
         assert names == ["shard-00.json", "shard-01.json"]
+
+    def test_warm_start_off_leaves_the_cache_cold(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), num_shards=2, store_dir=tmp_path
+        ) as fleet:
+            fleet.plan(tiny_tasks, timeout=30.0)
+        factory = CountingFactory(cluster)
+        with PlanServiceFleet(
+            factory, num_shards=2, store_dir=tmp_path, warm_start=False
+        ) as cold:
+            assert cold.warm_started == 0
+            assert len(cold.cache) == 0
+            cold.plan(tiny_tasks, timeout=30.0)
+        assert factory.calls == 1
+
+    def test_persist_survives_one_failing_partition(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        """An I/O error on one partition is absorbed: the other partitions
+        are still written and the failed one keeps its previous snapshot."""
+        fleet = PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
+        )
+        try:
+            fingerprint = fleet.fingerprint(tiny_tasks)
+            self._serve(fleet, [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]])
+            assert fleet.persist() == 4
+            failing = fleet.shard_of(fingerprint)
+            path = fleet.stores[failing].path
+            before = path.read_text(encoding="utf-8")
+            assert fingerprint in before
+            fleet.stores[failing] = PlanStore(
+                path,
+                injector=FaultInjector(
+                    FaultPlan([FaultEvent(index=0, kind=PERSIST_ERROR)])
+                ),
+            )
+            # A successful write would drop the entry; the others are
+            # removed from disk so their rewrite is observable.
+            fleet.cache.invalidate(fingerprint)
+            others = [s.path for s in fleet.stores if s.path != path]
+            for other in others:
+                other.unlink()
+            assert fleet.persist() == fleet.num_shards - 1
+            assert path.read_text(encoding="utf-8") == before
+            assert all(other.is_file() for other in others)
+        finally:
+            fleet.close()
+
+    def test_failed_partition_is_rewritten_on_the_next_persist(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        """A transient I/O error costs one persist, not the partition: the
+        next persist() writes every partition again."""
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), num_shards=2, store_dir=tmp_path
+        ) as fleet:
+            fingerprint = fleet.fingerprint(tiny_tasks)
+            fleet.plan(tiny_tasks, timeout=30.0)
+            failing = fleet.shard_of(fingerprint)
+            path = fleet.stores[failing].path
+            fleet.stores[failing] = PlanStore(
+                path,
+                injector=FaultInjector(
+                    FaultPlan([FaultEvent(index=0, kind=PERSIST_ERROR)])
+                ),
+            )
+            assert fleet.persist() == fleet.num_shards - 1
+            assert not path.exists()
+            assert fleet.persist() == fleet.num_shards
+            assert fingerprint in path.read_text(encoding="utf-8")

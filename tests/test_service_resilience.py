@@ -26,7 +26,7 @@ from repro.service import (
     PlanCache,
     PlanResponse,
     PlanService,
-    PlanServicePool,
+    PlanServiceFleet,
     ResiliencePolicy,
     ServiceOverloadError,
 )
@@ -440,23 +440,23 @@ class TestDeadlines:
         assert response.attempts == 1
 
 
-class TestPoolResilience:
-    def test_policy_and_injector_reach_every_service(self, tiny_tasks):
-        policy = ResiliencePolicy(max_attempts=2)
-        injector = injector_for()
-        pool = PlanServicePool(
-            lambda topology: ExecutionPlanner(topology),
+class TestFleetResilience:
+    def test_policy_reaches_every_shard_with_its_own_breaker(self):
+        cluster = make_cluster(4, devices_per_node=4)
+        policy = ResiliencePolicy(max_attempts=2, breaker_failure_threshold=1)
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster),
+            num_shards=3,
             num_workers=1,
             resilience=policy,
-            fault_injector=injector,
-        )
-        try:
-            small = pool.service_for(make_cluster(2, devices_per_node=4))
-            large = pool.service_for(make_cluster(4, devices_per_node=4))
-            assert small.resilience is policy
-            assert large.resilience is policy
-            assert small.injector is injector
-            # Per-topology services get per-topology breakers.
-            assert small.breaker is not large.breaker
-        finally:
-            pool.close()
+        ) as fleet:
+            assert all(shard.resilience is policy for shard in fleet.shards)
+            breakers = [shard.breaker for shard in fleet.shards]
+            assert len({id(breaker) for breaker in breakers}) == 3
+            # Tripping one shard's breaker leaves its peers closed.
+            breakers[0].record_failure()
+            assert [b.state for b in breakers] == [
+                BREAKER_OPEN,
+                BREAKER_CLOSED,
+                BREAKER_CLOSED,
+            ]

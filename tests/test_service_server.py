@@ -200,52 +200,6 @@ class TestIncrementalPrototype:
             PlanService(object())  # type: ignore[arg-type]
 
 
-class TestPlanServicePool:
-    def test_one_service_per_topology_signature(self, tiny_tasks):
-        from repro.service import PlanServicePool
-
-        a = make_cluster(4, devices_per_node=4)
-        b = make_cluster(8, devices_per_node=4)
-        with PlanServicePool(lambda c: ExecutionPlanner(c)) as pool:
-            service_a = pool.service_for(a)
-            service_b = pool.service_for(b)
-            assert service_a is not service_b
-            # Structurally identical topologies share one service.
-            assert pool.service_for(make_cluster(4, devices_per_node=4)) is service_a
-            assert pool.num_services == 2
-            # One shared cache across all services of the pool.
-            assert service_a.cache is service_b.cache is pool.cache
-            service_a.plan(tiny_tasks, timeout=30.0)
-            fp = service_a.fingerprint(tiny_tasks)
-            assert pool.cache.get(fp) is not None
-
-    def test_single_flight_across_concurrent_jobs(self, tiny_tasks):
-        """Two jobs replanning the same workload on the same topology at the
-        same moment coalesce onto one planner run."""
-        from repro.service import PlanServicePool
-
-        gate = threading.Event()
-        cluster = make_cluster(4, devices_per_node=4)
-        planner = GatedPlanner(cluster, gate)
-        with PlanServicePool(lambda c: planner, num_workers=2) as pool:
-            service = pool.service_for(cluster)
-            first = service.submit(tiny_tasks)
-            second = service.submit(tiny_tasks)
-            gate.set()
-            plan_a = first.result(timeout=30.0)
-            plan_b = second.result(timeout=30.0)
-        assert plan_a is plan_b
-        assert planner.calls == 1
-
-    def test_closed_pool_rejects_new_topologies(self):
-        from repro.service import PlanServicePool
-
-        pool = PlanServicePool(lambda c: ExecutionPlanner(c))
-        pool.close()
-        with pytest.raises(ServiceError):
-            pool.service_for(make_cluster(4, devices_per_node=4))
-
-
 class TestShutdownUnderLoad:
     def test_close_resolves_queued_requests_instead_of_hanging(
         self, cluster, tiny_tasks, chain_task_factory

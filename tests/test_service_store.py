@@ -11,11 +11,20 @@ from repro.faults.plan import PERSIST_ERROR
 from repro.service import (
     STORE_FORMAT_VERSION,
     PlanCache,
-    PlanServicePool,
     PlanStore,
     StoreError,
     payload_checksum,
 )
+
+
+def write_v1_snapshot(path, fingerprint, payload):
+    """A legacy v1 snapshot: fingerprints map straight to unchecksummed
+    payloads."""
+    path.write_text(
+        json.dumps({"format_version": 1, "entries": {fingerprint: payload}}),
+        encoding="utf-8",
+    )
+    return path
 
 
 @pytest.fixture
@@ -39,9 +48,13 @@ class TestRoundTrip:
         result = PlanStore(tmp_path / "plans.json").load_into(restored)
         assert result.loaded == 1
         assert result.quarantined == {}
-        # Payload-only entries serve payload lookups but miss on get().
-        assert restored.get_payload(fingerprint) == cache.get_payload(fingerprint)
+        # Payload-only entries miss on get() — live plans are not
+        # reconstructed, so callers know they must plan — but serve payload
+        # lookups byte-identically, and the cache stats count both.
         assert restored.get(fingerprint) is None
+        assert restored.stats.misses == 1
+        assert restored.get_payload(fingerprint) == cache.get_payload(fingerprint)
+        assert restored.stats.hits == 1
 
     def test_missing_snapshot_loads_nothing(self, tmp_path):
         result = PlanStore(tmp_path / "absent.json").load_into(PlanCache())
@@ -159,57 +172,14 @@ class TestStructuralErrors:
 
 
 class TestLegacyV1:
-    def test_cache_save_snapshot_loads_unverified(self, tmp_path, populated_cache):
+    def test_v1_snapshot_loads_unverified(self, tmp_path, populated_cache):
         cache, fingerprint = populated_cache
-        path = cache.save(tmp_path / "v1.json")  # legacy PlanCache snapshot
+        payload = cache.get_payload(fingerprint)
+        path = write_v1_snapshot(tmp_path / "v1.json", fingerprint, payload)
         restored = PlanCache()
         result = PlanStore(path).load_into(restored)
         assert result.loaded == 1
-        assert restored.get_payload(fingerprint) is not None
-
-
-class TestPoolIntegration:
-    def test_pool_warm_starts_and_persists(self, tmp_path, tiny_tasks):
-        path = tmp_path / "pool.json"
-        cluster = make_cluster(4, devices_per_node=4)
-        with PlanServicePool(
-            lambda topology: ExecutionPlanner(topology),
-            store=PlanStore(path),
-        ) as pool:
-            response = pool.service_for(cluster).request(tiny_tasks, timeout=30.0)
-            assert response.ok
-            assert pool.warm_started == 0
-        assert path.is_file()  # close() persisted the shared cache
-
-        reborn = PlanServicePool(
-            lambda topology: ExecutionPlanner(topology), store=PlanStore(path)
-        )
-        try:
-            assert reborn.warm_started == 1
-            assert reborn.cache.get_payload(response.fingerprint) is not None
-        finally:
-            reborn.close()
-
-    def test_pool_persist_absorbs_injected_failures(self, tmp_path, tiny_tasks):
-        injector = FaultInjector(
-            FaultPlan([FaultEvent(index=0, kind=PERSIST_ERROR)])
-        )
-        pool = PlanServicePool(
-            lambda topology: ExecutionPlanner(topology),
-            store=PlanStore(tmp_path / "pool.json", injector=injector),
-        )
-        try:
-            assert pool.persist() is False  # injected I/O error, absorbed
-            assert pool.persist() is True
-        finally:
-            pool.close()
-
-    def test_pool_without_store_reports_no_persist(self):
-        pool = PlanServicePool(lambda topology: ExecutionPlanner(topology))
-        try:
-            assert pool.persist() is False
-        finally:
-            pool.close()
+        assert restored.get_payload(fingerprint) == payload
 
 
 class TestCompaction:
@@ -244,7 +214,9 @@ class TestCompaction:
 
     def test_compact_upgrades_legacy_v1(self, tmp_path, populated_cache):
         cache, fingerprint = populated_cache
-        path = cache.save(tmp_path / "v1.json")
+        path = write_v1_snapshot(
+            tmp_path / "v1.json", fingerprint, cache.get_payload(fingerprint)
+        )
         store = PlanStore(path)
         assert store.compact() == 0
         snapshot = json.loads(path.read_text(encoding="utf-8"))

@@ -15,7 +15,7 @@ from repro.obs import (
     attribution_report,
     reconstruct_requests,
 )
-from repro.service import PlanService, PlanServicePool, ResiliencePolicy
+from repro.service import PlanService, PlanServiceFleet, ResiliencePolicy
 
 
 class GatedPlanner(ExecutionPlanner):
@@ -193,33 +193,38 @@ class TestSloRecording:
         assert len(slo.topology_reports()) == 1
 
 
-class TestPoolSharing:
-    def test_pool_services_share_journal_slo_and_id_stream(self, tiny_tasks):
+class TestFleetSharing:
+    def test_fleet_shards_share_journal_and_slo_with_per_shard_ids(
+        self, tiny_tasks
+    ):
         journal = TelemetryJournal()
         slo = SloTracker()
-        pool = PlanServicePool(
-            lambda topology: ExecutionPlanner(topology),
+        cluster = make_cluster(4, devices_per_node=4)
+        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster),
+            num_shards=4,
             num_workers=1,
             journal=journal,
             slo=slo,
-        )
-        try:
-            big = pool.service_for(make_cluster(4, devices_per_node=4))
-            small = pool.service_for(make_cluster(2, devices_per_node=4))
-            assert big is not small
-            assert big.journal is journal and small.journal is journal
-            assert big.trace_ids is small.trace_ids is pool.trace_ids
-            first = big.request(tiny_tasks, timeout=30.0, tenant="t")
-            second = small.request(tiny_tasks, timeout=30.0, tenant="t")
-        finally:
-            pool.close()
-        # One shared ordinal stream: IDs stay unique across services.
-        assert first.trace_id != second.trace_id
+        ) as fleet:
+            assert all(
+                shard.journal is journal and shard.slo is slo
+                for shard in fleet.shards
+            )
+            responses = [
+                fleet.request(workload, timeout=30.0, tenant="t")
+                for workload in workloads
+            ]
+            labels = {
+                fleet.shards[fleet.shard_of(r.fingerprint)]._topology_label
+                for r in responses
+            }
+        # Per-shard ID namespaces keep IDs unique across the fleet.
+        trace_ids = {response.trace_id for response in responses}
+        assert len(trace_ids) == len(workloads)
         lifecycles = reconstruct_requests(journal.events())
-        assert set(lifecycles) == {first.trace_id, second.trace_id}
-        assert {life.topology for life in lifecycles.values()} == {
-            big._topology_label,
-            small._topology_label,
-        }
-        assert slo.report().count == 2
-        assert len(slo.topology_reports()) == 2
+        assert set(lifecycles) == trace_ids
+        assert {life.topology for life in lifecycles.values()} == labels
+        assert slo.report().count == len(workloads)
+        assert len(slo.topology_reports()) == len(labels)

@@ -126,6 +126,16 @@ class TestEventModel:
         assert len(a.extend(b)) == 2
         assert a.last_iteration == 5
 
+    def test_empty_cluster_timeline_is_kept_not_replaced(self):
+        """A caller's fresh (empty, hence falsy) cluster timeline is the one
+        the unified timeline reads: events added to it later show up."""
+        cluster = EventTimeline()
+        timeline = UnifiedTimeline(cluster_events=cluster)
+        assert timeline.cluster_events is cluster
+        cluster.add(ClusterEvent(DEVICE_FAILURE, at_iteration=7, node=0, device=0))
+        assert len(timeline) == 1
+        assert [g.at_iteration for g in timeline.grouped_by_iteration()] == [7]
+
     def test_apply_workload_events_semantics(self):
         pool = make_pool()
         active = list(INITIAL)

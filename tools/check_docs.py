@@ -2,7 +2,7 @@
 """Markdown lint + intra-repo link checker for ``docs/`` and the README.
 
 Stdlib-only, run by the CI ``docs`` job (and by ``tests/test_check_docs.py``
-against the checked-in tree). Two classes of checks:
+against the checked-in tree). Three classes of checks:
 
 * **Lint** — balanced code fences, exactly one H1 per page, heading levels
   that never skip (``##`` to ``####``), and no malformed link syntax
@@ -10,6 +10,13 @@ against the checked-in tree). Two classes of checks:
 * **Links** — every relative link target must exist in the repository, and
   every ``#fragment`` must match a heading anchor (GitHub slug rules) in the
   target file. External (``http(s)://``, ``mailto:``) links are not fetched.
+* **Names** — every inline-code span that starts with a CamelCase identifier
+  must name a class, function or module-level assignment defined under
+  ``src/`` (or a Python builtin); a ``Class.member`` span must name a member
+  of that class (or of a base class defined under ``src/``).  Every
+  ``repro.a.b`` dotted path, in code or prose, must resolve to a module under
+  ``src/``, optionally followed by one attribute the module binds.  Stale
+  references to deleted code therefore fail the check.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per problem on
 stderr otherwise.
@@ -17,13 +24,19 @@ stderr otherwise.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+INLINE_CODE_RE = re.compile(r"`([^`]+)`")
+CAMEL_SPAN_RE = re.compile(r"([A-Z][a-z0-9]+[A-Z]\w*)(?:\.(\w+))?")
+DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
 
 
 def default_targets(root: Path) -> list[Path]:
@@ -151,12 +164,135 @@ def check_links(path: Path, lines: list[str], root: Path) -> list[str]:
     return problems
 
 
+class SourceIndex:
+    """What ``src/`` defines: symbol names, class members, module bindings."""
+
+    def __init__(self, src: Path) -> None:
+        #: class, function and module-level assignment names
+        self.symbols: set[str] = set(dir(builtins))
+        #: class name -> member names (methods, class attributes, self.x)
+        self.members: dict[str, set[str]] = defaultdict(set)
+        #: class name -> names of its bases
+        self.bases: dict[str, set[str]] = defaultdict(set)
+        #: dotted module name -> names bound at its top level
+        self.modules: dict[str, set[str]] = {}
+        for path in sorted(src.glob("**/*.py")):
+            parts = path.relative_to(src).with_suffix("").parts
+            if parts[-1] == "__init__":
+                parts = parts[:-1]
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            self.modules[".".join(parts)] = self._bindings(tree.body)
+            self.symbols.update(self._assigned(tree.body))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.symbols.add(node.name)
+                elif isinstance(node, ast.ClassDef):
+                    self.symbols.add(node.name)
+                    self._index_class(node)
+
+    @staticmethod
+    def _assigned(body: list[ast.stmt]) -> set[str]:
+        names = set()
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return names
+
+    def _bindings(self, body: list[ast.stmt]) -> set[str]:
+        names = self._assigned(body)
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    names.add((alias.asname or alias.name).split(".")[0])
+        return names
+
+    def _index_class(self, node: ast.ClassDef) -> None:
+        members = self.members[node.name]
+        members.update(self._bindings(node.body))
+        for child in ast.walk(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Store)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "self"
+            ):
+                members.add(child.attr)
+        self.bases[node.name].update(
+            base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+            for base in node.bases
+        )
+
+    def has_member(self, cls: str, member: str) -> bool:
+        """Whether ``cls`` (or a base) binds ``member``; a base defined
+        outside ``src/`` may bind anything."""
+        seen: set[str] = set()
+        pending = [cls]
+        while pending:
+            name = pending.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            if name not in self.members:
+                return True  # a builtin or third-party base: not checkable
+            if member in self.members[name]:
+                return True
+            pending.extend(self.bases[name])
+        return False
+
+    def resolves(self, dotted: str) -> bool:
+        """Whether ``dotted`` is a module, or a module plus one attribute it
+        binds."""
+        if dotted in self.modules:
+            return True
+        module, _, attribute = dotted.rpartition(".")
+        return module in self.modules and attribute in self.modules[module]
+
+
+def check_names(path: Path, lines: list[str], index: SourceIndex) -> list[str]:
+    problems = []
+    in_fence = False
+    for number, line in enumerate(lines, start=1):
+        if line.lstrip().startswith("```"):
+            in_fence = not in_fence
+        for dotted in DOTTED_RE.findall(line):
+            if not index.resolves(dotted):
+                problems.append(
+                    f"{path}:{number}: {dotted} is no module under src/ "
+                    "nor an attribute one binds"
+                )
+        if in_fence:
+            continue
+        for span in INLINE_CODE_RE.findall(line):
+            match = CAMEL_SPAN_RE.match(span)
+            if match is None:
+                continue
+            name, member = match.groups()
+            if name not in index.symbols:
+                problems.append(
+                    f"{path}:{number}: `{span}` names nothing defined under src/"
+                )
+            elif member and not index.has_member(name, member):
+                problems.append(
+                    f"{path}:{number}: `{span}`: {name} has no member {member}"
+                )
+    return problems
+
+
 def check_pages(pages: list[Path], root: Path) -> list[str]:
     problems = []
+    index = SourceIndex(root / "src")
     for page in pages:
         lines = page.read_text(encoding="utf-8").splitlines()
         problems.extend(lint_page(page, lines))
         problems.extend(check_links(page, lines, root))
+        problems.extend(check_names(page, lines, index))
     return problems
 
 
