@@ -7,8 +7,11 @@ pattern of dynamic workloads and of a multi-tenant planning tier — against the
 :func:`~repro.experiments.harness.run_service_benchmark` protocol behind
 ``repro serve-bench``), and reports throughput, cache hit rate and the
 speedup.  The stream has >= 50% repeated workloads; the service must beat the
-uncached planner by at least 5x on it.
+uncached planner by at least 5x on it, in the median of five runs (one run
+takes ~0.25 s and its speedup alone swings with host noise).
 """
+
+import statistics
 
 import pytest
 
@@ -57,10 +60,16 @@ def bench_service_throughput(ctx):
     ids=["multitask-clip", "ofasys"],
 )
 def test_service_throughput(benchmark, label, workload, num_requests, num_unique):
-    result = run_service_benchmark(
-        workload, num_requests=num_requests, num_unique=num_unique, num_workers=4
-    )
-    assert result.failed_requests == 0
+    def run():
+        return run_service_benchmark(
+            workload, num_requests=num_requests, num_unique=num_unique, num_workers=4
+        )
+
+    # One pytest-benchmark timing: the full protocol (uncached reference plus
+    # the service run) on the same stream.  It is the first of five runs.
+    results = [benchmark.pedantic(run, rounds=1, iterations=1)]
+    results += [run() for _ in range(4)]
+    result = results[0]
 
     emit(
         f"service_throughput_{label}",
@@ -71,19 +80,15 @@ def test_service_throughput(benchmark, label, workload, num_requests, num_unique
         ),
     )
 
-    # One pytest-benchmark timing: the full protocol (uncached reference plus
-    # the service run) on the same stream.
-    benchmark.pedantic(
-        lambda: run_service_benchmark(
-            workload, num_requests=num_requests, num_unique=num_unique, num_workers=4
-        ),
-        rounds=1,
-        iterations=1,
-    )
-
     # Acceptance: >= 50% repeats in the stream, >= 5x over the raw planner.
-    assert result.repeated_fraction >= 0.5
-    assert result.stats.hit_rate >= 0.5
-    assert result.speedup >= 5.0, (
-        f"plan service only {result.speedup:.1f}x faster than the uncached planner"
+    for each in results:
+        assert each.failed_requests == 0
+        assert each.repeated_fraction >= 0.5
+        assert each.stats.hit_rate >= 0.5
+    speedups = [each.speedup for each in results]
+    assert statistics.median(speedups) >= 5.0, (
+        "plan service only {:.1f}x faster than the uncached planner "
+        "(median of {})".format(
+            statistics.median(speedups), ", ".join(f"{x:.1f}x" for x in speedups)
+        )
     )

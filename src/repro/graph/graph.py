@@ -169,7 +169,10 @@ class ComputationGraph:
     def task_subgraph(self, task: str) -> "ComputationGraph":
         """Extract the sub-graph activated by a single task."""
         sub = ComputationGraph()
-        names = {op.name for op in self.operators_of_task(task)}
+        # Graph order, not set order: the sub-graph's operator order sets the
+        # tie-breaks of its topological order, and a set's would follow the
+        # interpreter's string-hash seed.
+        names = dict.fromkeys(op.name for op in self.operators_of_task(task))
         for name in names:
             sub.add_operator(self._operators[name])
         for (src, dst), flow in self._edges.items():

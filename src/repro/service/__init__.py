@@ -36,7 +36,6 @@ from repro.service.fingerprint import (
     canonical_graph,
     canonical_task,
     canonical_tasks,
-    canonical_workload,
     fingerprint_workload,
     hash_document,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "canonical_graph",
     "canonical_task",
     "canonical_tasks",
-    "canonical_workload",
     "fingerprint_workload",
     "hash_document",
     "jump_consistent_hash",

@@ -22,8 +22,14 @@ Canonicalisation rules:
   that correlate plan entries with their own task names must map by structure,
   not by name — which is how the dynamic-workload runner consumes cached
   plans.
-* The task documents of a request are sorted by their serialized form, making
-  the fingerprint order-insensitive.
+* The task documents of a request are sorted by their serialized form (the
+  compact, key-sorted JSON that is also hashed), making the fingerprint
+  order-insensitive.  Sorting on the default ``", "``/``": "`` separators
+  gives the same order: the two forms differ only by a space after each
+  ``,`` and ``:`` outside string literals, and whether a character is inside
+  a literal is decided by the characters before it.  So two documents'
+  compact strings first differ at the same character as their default
+  strings do, and equal strings are equal documents.
 * A raw :class:`~repro.graph.graph.ComputationGraph` request is canonicalised
   with its operator names intact (names are the graph's node identity; graph
   callers manage their own naming), with nodes and edges sorted.
@@ -31,7 +37,15 @@ Canonicalisation rules:
   any change — device spec, interconnect bandwidth, timing constants, placement
   strategy — changes the fingerprint.
 
-All documents are hashed as compact JSON with sorted keys via SHA-256.
+All documents are hashed as compact JSON with sorted keys via SHA-256.  The
+hashed request document is ``{"cluster": ..., "config": ..., "workload":
+{"tasks": [...]}}`` (or ``{"graph": ...}``), but :func:`fingerprint_workload`
+never builds it: it serializes each task document once, keeps only the
+string, sorts the strings and splices them between the topology's cached
+:meth:`~repro.cluster.topology.ClusterTopology.canonical_json` and the config
+JSON.  Holding one task document at a time also keeps a fresh fingerprint's
+net allocations of garbage-collected containers small, so it rarely triggers
+a collection of its own.
 """
 
 from __future__ import annotations
@@ -46,6 +60,14 @@ from repro.graph.ops import Operator
 from repro.graph.task import SpindleTask
 
 FingerprintInput = Union[ComputationGraph, Sequence[SpindleTask]]
+
+#: Compact, key-sorted JSON: the one form that is both sorted and hashed.
+#: Canonical documents are trees of fresh lists and dicts, so the encoder
+#: skips the cycle check (about a sixth of the serialization time); a cycle
+#: would still fail, with RecursionError instead of ValueError.
+_compact_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 
 
 def canonical_operator(op: Operator, include_name: bool = False) -> list[Any]:
@@ -85,7 +107,7 @@ def canonical_task(task: SpindleTask) -> dict[str, Any]:
 def canonical_tasks(tasks: Sequence[SpindleTask]) -> list[dict[str, Any]]:
     """Task documents sorted by content, so task order does not matter."""
     documents = [canonical_task(task) for task in tasks]
-    documents.sort(key=lambda doc: json.dumps(doc, sort_keys=True))
+    documents.sort(key=_compact_json)
     return documents
 
 
@@ -111,27 +133,9 @@ def canonical_cluster(cluster: ClusterTopology) -> dict[str, Any]:
     return cluster.canonical_dict()
 
 
-def canonical_workload(
-    workload: FingerprintInput,
-    cluster: ClusterTopology,
-    config: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """The full document hashed by :func:`fingerprint_workload`."""
-    if isinstance(workload, ComputationGraph):
-        workload_doc: Any = {"graph": canonical_graph(workload)}
-    else:
-        workload_doc = {"tasks": canonical_tasks(list(workload))}
-    return {
-        "workload": workload_doc,
-        "cluster": canonical_cluster(cluster),
-        "config": dict(config) if config is not None else {},
-    }
-
-
 def hash_document(document: Any) -> str:
     """SHA-256 hex digest of a JSON-serializable document."""
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_compact_json(document).encode("utf-8")).hexdigest()
 
 
 def fingerprint_workload(
@@ -139,5 +143,24 @@ def fingerprint_workload(
     cluster: ClusterTopology,
     config: Mapping[str, Any] | None = None,
 ) -> str:
-    """Canonical content hash of (workload, cluster, planner configuration)."""
-    return hash_document(canonical_workload(workload, cluster, config))
+    """Canonical content hash of (workload, cluster, planner configuration).
+
+    Equal to :func:`hash_document` of the request document described in the
+    module docstring, built in one serialization pass.
+    """
+    if isinstance(workload, ComputationGraph):
+        body = '{"graph":' + _compact_json(canonical_graph(workload)) + "}"
+    else:
+        # A generator, so each task document is dropped once serialized.
+        tasks = sorted(_compact_json(canonical_task(task)) for task in workload)
+        body = '{"tasks":[' + ",".join(tasks) + "]}"
+    payload = (
+        '{"cluster":'
+        + cluster.canonical_json()
+        + ',"config":'
+        + _compact_json(dict(config) if config is not None else {})
+        + ',"workload":'
+        + body
+        + "}"
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -128,10 +128,10 @@ class PlanServiceFleet:
         every shard keeps its own circuit breaker.
     store_dir:
         Directory of per-shard :class:`PlanStore` partitions
-        (``shard-<ordinal>.json``).  With ``warm_start`` every partition is
-        preloaded in parallel at construction — including partitions written
-        under a *different* shard count, whose entries re-route to their
-        current owners through the shared cache.
+        (``shard-<ordinal>.json``).  Every partition is preloaded in
+        parallel at construction — including partitions written under a
+        *different* shard count, whose entries re-route to their current
+        owners through the shared cache.
     auto_compact_threshold:
         Forwarded to each partition store: a load that quarantines at least
         this many entries triggers an automatic snapshot compaction.
@@ -154,7 +154,6 @@ class PlanServiceFleet:
         max_batch_size: int = 8,
         resilience: ResiliencePolicy | None = None,
         store_dir: "str | Path | None" = None,
-        warm_start: bool = True,
         auto_compact_threshold: int | None = None,
         journal: TelemetryJournal | None = None,
         slo=None,
@@ -188,7 +187,7 @@ class PlanServiceFleet:
                 for ordinal in range(num_shards)
             ]
         self.warm_started = 0
-        if self._store_dir is not None and warm_start:
+        if self._store_dir is not None:
             self.warm_started = self._parallel_warm_start()
 
         self.shards: list[PlanService] = [

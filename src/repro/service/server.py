@@ -59,7 +59,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Any, Callable, Mapping, Union
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
@@ -130,7 +130,7 @@ class FingerprintMemo:
     def __init__(
         self,
         cluster: ClusterTopology,
-        config_signature: str,
+        config_signature: Mapping[str, Any],
         capacity: int = 1024,
     ) -> None:
         self.cluster = cluster

@@ -1,6 +1,10 @@
 """Tests for the temporally-decoupled baselines (Megatron-LM / DeepSpeed /
 Spindle-Seq)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.baselines.sequential import (
@@ -80,3 +84,31 @@ class TestSystemVariants:
             SpindleSeqSystem.name,
         }
         assert len(names) == 4
+
+
+_HASH_SEED_PROBE = """
+from repro.baselines.sequential import DeepSpeedSystem
+from repro.cluster.topology import make_cluster
+from repro.models.qwen_val import qwen_val_tasks
+
+result = DeepSpeedSystem(make_cluster(32)).run_iteration(qwen_val_tasks(3, size="10b"))
+print(repr(result.iteration_time * 1e3))
+"""
+
+
+def test_iteration_time_does_not_depend_on_the_string_hash_seed():
+    """The fig08 DeepSpeed gate's value reads the same, to the last bit,
+    under two hash seeds that used to disagree in its final digit."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    probes = [
+        subprocess.Popen(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env={**env, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "4")
+    ]
+    reads = [probe.communicate(timeout=120)[0].strip() for probe in probes]
+    assert all(probe.returncode == 0 for probe in probes)
+    assert reads[0] and reads[0] == reads[1]

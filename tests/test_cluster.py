@@ -94,6 +94,17 @@ class TestClusterTopology:
         with pytest.raises(TopologyError):
             two_island_cluster.group_bandwidth([])
 
+    def test_equality_ignores_the_lazy_caches(self):
+        """Computing a cached value on one side never changes equality."""
+        warm, cold = make_cluster(16), make_cluster(16)
+        assert warm == cold
+        warm.signature()
+        assert warm == cold
+        warm.spec_classes()
+        warm.canonical_json()
+        assert warm == cold
+        assert make_cluster(16) != make_cluster(32)
+
     def test_totals(self, single_island_cluster):
         cluster = single_island_cluster
         assert cluster.total_peak_flops == 4 * cluster.device_spec.peak_flops

@@ -115,6 +115,18 @@ class TestAggregates:
         assert sub.num_operators == 2
         assert sub.num_flows == 1
 
+    def test_subgraph_keeps_graph_order(self):
+        """Operators keep the graph's order, not the string-hash order of a set,
+        so topological tie-breaks do not depend on ``PYTHONHASHSEED``."""
+        graph = ComputationGraph()
+        for i in range(24):
+            graph.add_operator(make_layer_op(f"t1.op{i:02d}", task="t1"))
+            graph.add_operator(make_layer_op(f"t2.op{i:02d}", task="t2"))
+        sub = graph.task_subgraph("t1")
+        expected = [f"t1.op{i:02d}" for i in range(24)]
+        assert list(sub.operators) == expected
+        assert sub.topological_order() == expected
+
     def test_total_flops(self):
         graph = chain_graph(["a", "b"])
         expected = sum(op.flops for op in graph)

@@ -1,17 +1,32 @@
 """Tests for canonical workload fingerprints (plan-cache keys)."""
 
-import pytest
+import hashlib
+import json
+import random
 
-from repro.cluster.device import DeviceSpec
-from repro.cluster.topology import ClusterTopology, make_cluster
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster.device import A800_SPEC, DeviceSpec
+from repro.cluster.topology import (
+    ClusterTopology,
+    make_cluster,
+    make_heterogeneous_cluster,
+)
 from repro.core.planner import ExecutionPlanner
 from repro.costmodel.flops import LayerConfig, make_transformer_layer_op
 from repro.costmodel.memory import MemoryModel, MemoryModelConfig
 from repro.costmodel.timing import TimingModelConfig
-from repro.graph.ops import TensorSpec
+from repro.graph.builder import build_unified_graph
+from repro.graph.graph import ComputationGraph
+from repro.graph.ops import Operator, TensorSpec
 from repro.graph.task import SpindleTask
+from repro.models import multitask_clip_tasks, ofasys_tasks, qwen_val_tasks
 from repro.service.fingerprint import (
+    canonical_graph,
     canonical_task,
+    canonical_tasks,
     fingerprint_workload,
 )
 
@@ -165,3 +180,191 @@ class TestPlannerFingerprint:
         plan = ExecutionPlanner(cluster).plan(tiny_graph)
         assert plan.fingerprint
         assert ExecutionPlanner(cluster).plan(tiny_graph).fingerprint == plan.fingerprint
+
+
+# -------------------------------------------------------------------- oracle
+
+
+def oracle_fingerprint(workload, cluster, config=None) -> str:
+    """The two-pass algorithm ``fingerprint_workload`` replaced, verbatim.
+
+    Task documents are sorted by their default-separator JSON, the whole
+    request document is built, and that document is hashed as compact JSON.
+    """
+    if isinstance(workload, ComputationGraph):
+        workload_doc = {"graph": canonical_graph(workload)}
+    else:
+        documents = [canonical_task(task) for task in list(workload)]
+        documents.sort(key=lambda doc: json.dumps(doc, sort_keys=True))
+        workload_doc = {"tasks": documents}
+    document = {
+        "workload": workload_doc,
+        "cluster": cluster.canonical_dict(),
+        "config": dict(config) if config is not None else {},
+    }
+    payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+_SLOW_A800 = DeviceSpec(
+    name="A800-slow",
+    peak_flops=A800_SPEC.peak_flops,
+    memory_bytes=A800_SPEC.memory_bytes,
+    achievable_fraction=0.3,
+)
+
+
+def _topologies() -> dict[str, ClusterTopology]:
+    return {
+        "uniform": make_cluster(64),
+        "irregular": ClusterTopology(
+            num_nodes=3, devices_per_node=8, island_sizes=(8, 7, 5)
+        ),
+        "mixed": make_heterogeneous_cluster(
+            [A800_SPEC, _SLOW_A800, A800_SPEC, _SLOW_A800], devices_per_node=4
+        ),
+    }
+
+
+#: ``signature()`` of each topology above, recorded before the topology
+#: cached its canonical JSON.
+_PINNED_SIGNATURES = {
+    "uniform": "a94657bc43d98c604189434d2010451d23c538e59a239e36d9ed497862dd5e20",
+    "irregular": "c78a7192eac0b6fc80e9c983ce3a9d95c79ae2c7de611946254c02c663886950",
+    "mixed": "265689abfee0a00e31c38dc7bc33cd3b23d2f6187f0d6d62f5a15e60995e9da5",
+}
+
+
+@pytest.fixture(scope="module")
+def zoo_tasks():
+    return {
+        "clip": multitask_clip_tasks(10),
+        "ofasys": ofasys_tasks(7),
+        "qwen": qwen_val_tasks(3, size="10b"),
+    }
+
+
+def _config(cluster, kind):
+    if kind == "none":
+        return None
+    if kind == "default":
+        return ExecutionPlanner(cluster).config_signature()
+    return ExecutionPlanner(
+        cluster,
+        placement_strategy="sequential",
+        timing_config=TimingModelConfig(backward_multiplier=1.5),
+        spec_aware=False,
+    ).config_signature()
+
+
+class TestOracle:
+    @pytest.mark.parametrize("config_kind", ["default", "tweaked", "none"])
+    @pytest.mark.parametrize("topology", sorted(_PINNED_SIGNATURES))
+    @pytest.mark.parametrize("model", ["clip", "ofasys", "qwen"])
+    def test_matches_the_two_pass_oracle(self, zoo_tasks, model, topology, config_kind):
+        cluster = _topologies()[topology]
+        config = _config(cluster, config_kind)
+        pool = zoo_tasks[model]
+        rng = random.Random(f"{model}/{topology}/{config_kind}")
+        workloads = [pool, list(reversed(pool)), pool[:1]]
+        for _ in range(4):
+            # Shuffled subsets drawn with replacement, so some repeat a task.
+            workloads.append(rng.choices(pool, k=rng.randint(2, len(pool) + 2)))
+        for workload in workloads:
+            assert fingerprint_workload(workload, cluster, config) == (
+                oracle_fingerprint(workload, cluster, config)
+            )
+
+    @pytest.mark.parametrize("topology", sorted(_PINNED_SIGNATURES))
+    def test_graph_input_matches_the_oracle(self, zoo_tasks, topology):
+        cluster = _topologies()[topology]
+        graph = build_unified_graph(zoo_tasks["clip"][:4])
+        for config in (None, _config(cluster, "default")):
+            assert fingerprint_workload(graph, cluster, config) == (
+                oracle_fingerprint(graph, cluster, config)
+            )
+
+    def test_canonical_tasks_keeps_the_oracle_order(self, zoo_tasks):
+        tasks = zoo_tasks["ofasys"] + zoo_tasks["clip"]
+        expected = sorted(
+            (canonical_task(task) for task in tasks),
+            key=lambda doc: json.dumps(doc, sort_keys=True),
+        )
+        assert canonical_tasks(tasks) == expected
+
+
+class TestTopologySignature:
+    @pytest.mark.parametrize("topology", sorted(_PINNED_SIGNATURES))
+    def test_signature_is_pinned(self, topology):
+        cluster = _topologies()[topology]
+        assert cluster.signature() == _PINNED_SIGNATURES[topology]
+
+    def test_signature_hashes_the_cached_canonical_json(self):
+        cluster = make_cluster(16)
+        text = cluster.canonical_json()
+        assert cluster.canonical_json() is text
+        assert json.loads(text) == cluster.canonical_dict()
+        assert cluster.signature() == hashlib.sha256(text.encode()).hexdigest()
+
+
+# ---------------------------------------------------------------- properties
+
+# Every character that is structural in JSON, the two that JSON escapes, and
+# characters that ``ensure_ascii`` turns into ``\u`` escapes.
+_ADVERSARIAL = st.text(
+    alphabet=st.sampled_from(list(',: "\\[]{}ab\u00e9\u2603\U0001f600')),
+    max_size=4,
+)
+
+
+@st.composite
+def synthetic_tasks(draw, index):
+    name = f"task{index}"
+    task = SpindleTask(name, batch_size=draw(st.sampled_from([1, 2, 8])))
+    for m in range(draw(st.integers(min_value=1, max_value=2))):
+        ops = [
+            Operator(
+                name=f"{name}.m{m}.{i}",
+                op_type=draw(_ADVERSARIAL),
+                task=name,
+                modality=draw(_ADVERSARIAL),
+                input_spec=TensorSpec(batch=1, seq_len=4, hidden=8),
+                flops=draw(st.sampled_from([0.0, 1.0, 1.5e12])),
+                param_key=draw(st.none() | _ADVERSARIAL),
+            )
+            for i in range(draw(st.integers(min_value=1, max_value=3)))
+        ]
+        task.add_module(f"m{m}", ops)
+    if len(task.modules) == 2:
+        task.add_flow("m0", "m1")
+    return task
+
+
+@st.composite
+def task_lists(draw):
+    count = draw(st.integers(min_value=1, max_value=5))
+    return [draw(synthetic_tasks(i)) for i in range(count)]
+
+
+class TestCompactSortOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=task_lists())
+    def test_compact_and_default_keys_sort_alike(self, tasks):
+        documents = [canonical_task(task) for task in tasks]
+        compact = [
+            json.dumps(doc, sort_keys=True, separators=(",", ":")) for doc in documents
+        ]
+        default = [json.dumps(doc, sort_keys=True) for doc in documents]
+        by_compact = sorted(range(len(documents)), key=compact.__getitem__)
+        by_default = sorted(range(len(documents)), key=default.__getitem__)
+        assert by_compact == by_default
+
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=task_lists(), seed=st.integers(min_value=0, max_value=2**16))
+    def test_digest_equals_the_oracle(self, tasks, seed):
+        cluster = make_cluster(4, devices_per_node=4)
+        workload = tasks + tasks[:1]
+        random.Random(seed).shuffle(workload)
+        assert fingerprint_workload(workload, cluster) == oracle_fingerprint(
+            workload, cluster
+        )

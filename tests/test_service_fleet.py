@@ -375,22 +375,6 @@ class TestPartitionedPersistence:
         names = sorted(p.name for p in tmp_path.glob("shard-*.json"))
         assert names == ["shard-00.json", "shard-01.json"]
 
-    def test_warm_start_off_leaves_the_cache_cold(
-        self, cluster, tiny_tasks, tmp_path
-    ):
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=2, store_dir=tmp_path
-        ) as fleet:
-            fleet.plan(tiny_tasks, timeout=30.0)
-        factory = CountingFactory(cluster)
-        with PlanServiceFleet(
-            factory, num_shards=2, store_dir=tmp_path, warm_start=False
-        ) as cold:
-            assert cold.warm_started == 0
-            assert len(cold.cache) == 0
-            cold.plan(tiny_tasks, timeout=30.0)
-        assert factory.calls == 1
-
     def test_persist_survives_one_failing_partition(
         self, cluster, tiny_tasks, tmp_path
     ):
