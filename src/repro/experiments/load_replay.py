@@ -27,7 +27,9 @@ from a fixed document-derived model (solve cost scales with the plan
 payload's size, which is deterministic for a given workload), so simulated
 makespans, throughputs and latency percentiles are exact functions of
 (workload, seed, rate, shard count) — the gated 1→4 shard scaling ratio
-reproduces to the digit on any machine.
+reproduces to the digit on any machine.  The percentiles are read from a
+:class:`~repro.obs.metrics.Histogram` of the simulated latencies, like every
+other latency percentile in the package.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from random import Random
 from repro.core.planner import ExecutionPlanner
 from repro.experiments.harness import _canonical_plan_payload
 from repro.experiments.workloads import WorkloadSpec
+from repro.obs.metrics import Histogram
 from repro.obs.slo import SloTracker
 from repro.obs.tracer import get_tracer
 from repro.service.fleet import PlanServiceFleet, shard_for_fingerprint
@@ -208,15 +211,6 @@ class LoadReplayResult:
         return rows
 
 
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1, max(0, round(fraction * (len(sorted_values) - 1)))
-    )
-    return sorted_values[index]
-
-
 def simulate_fleet(
     arrivals: list[float],
     fingerprints: list[str],
@@ -246,7 +240,7 @@ def simulate_fleet(
     # Per-shard server pools: next-free virtual time of each worker.
     servers = [[0.0] * num_workers for _ in range(num_shards)]
     solved_at: dict[str, float] = {}
-    latencies: list[float] = []
+    latencies = Histogram()
     coalesced = hits = solves = 0
     finish = 0.0
     for arrival, fingerprint in zip(arrivals, fingerprints):
@@ -271,7 +265,7 @@ def simulate_fleet(
             if done is None:
                 solved_at[fingerprint] = completion
         latency = completion - arrival
-        latencies.append(latency)
+        latencies.observe(latency)
         finish = max(finish, completion)
         if slo is not None:
             # Every simulated request resolves with a plan; hit/miss/coalesce
@@ -280,14 +274,14 @@ def simulate_fleet(
             # aggregate like the live fleet's.
             slo.record("served", latency, topology=f"sim-{num_shards}")
     makespan = max(finish, arrivals[-1] if arrivals else 0.0)
-    latencies.sort()
+    summary = latencies.summary()
     return SimulatedShardRun(
         num_shards=num_shards,
         makespan_seconds=makespan,
         throughput_rps=len(arrivals) / makespan if makespan > 0 else 0.0,
-        p50_ms=_percentile(latencies, 0.50) * 1000.0,
-        p95_ms=_percentile(latencies, 0.95) * 1000.0,
-        p99_ms=_percentile(latencies, 0.99) * 1000.0,
+        p50_ms=summary.p50 * 1000.0,
+        p95_ms=summary.p95 * 1000.0,
+        p99_ms=summary.p99 * 1000.0,
         coalesced=coalesced,
         hits=hits,
         solves=solves,

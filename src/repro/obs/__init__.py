@@ -8,7 +8,8 @@ caller enables it, and a disabled span is a stateless no-op singleton.
 
 * :mod:`repro.obs.tracer` — nested, thread-local wall-clock spans.
 * :mod:`repro.obs.metrics` — counters/gauges/histograms under canonical
-  ``name{label=value}`` keys, with snapshot/diff and ``BENCH_*.json`` export.
+  ``name{label=value}`` keys, with snapshot/diff and ``BENCH_*.json`` export;
+  :class:`~repro.obs.metrics.Histogram` is the one latency store.
 * :mod:`repro.obs.export` — Chrome ``trace_event`` JSON (simulated
   utilization rendered as counter tracks beside the wall-clock spans),
   a schema validator, and the plain-text span tree report.
@@ -33,12 +34,13 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.metrics import (
+    RELATIVE_ACCURACY,
+    Histogram,
     HistogramSummary,
     MetricsRegistry,
     MetricsSnapshot,
     get_metrics,
     metric_key,
-    percentile,
     split_metric_key,
 )
 from repro.obs.slo import SloPolicy, SloReport, SloTracker, slo_from_outcomes
@@ -60,8 +62,10 @@ __all__ = [
     "EVENT_KINDS",
     "JOURNAL_SCHEMA_VERSION",
     "NOOP_SPAN",
+    "RELATIVE_ACCURACY",
     "SIM_PID",
     "WALL_PID",
+    "Histogram",
     "HistogramSummary",
     "JournalError",
     "MetricsRegistry",
@@ -81,7 +85,6 @@ __all__ = [
     "get_metrics",
     "get_tracer",
     "metric_key",
-    "percentile",
     "reconstruct_requests",
     "render_span_tree",
     "slo_from_outcomes",

@@ -18,27 +18,34 @@ of a dotted name and a sorted label set, rendered canonically as
                                       durations
 ===================================  ======================================
 
+:class:`Histogram` is the package's one latency store: the registry,
+:class:`~repro.service.stats.ServiceStats`, the SLO windows and the
+simulated fleet replay all read their percentiles from it.
+
 :meth:`MetricsRegistry.snapshot` freezes the current values;
 :meth:`MetricsSnapshot.diff` subtracts an earlier snapshot so a caller can
-meter exactly one region of work.  :meth:`MetricsRegistry.to_bench_metrics`
-exports a snapshot into the benchmark :class:`~repro.bench.result.Metric`
-schema, which is how registry values land in ``BENCH_*.json`` via
-:class:`~repro.bench.result.BenchResult`.
+meter exactly one region of work, percentiles included.
+:meth:`MetricsRegistry.to_bench_metrics` exports a snapshot into the
+benchmark :class:`~repro.bench.result.Metric` schema, which is how registry
+values land in ``BENCH_*.json`` via :class:`~repro.bench.result.BenchResult`.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from math import ceil, floor, inf, log
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.bench.result import BenchResult, Metric
 
-#: Histograms keep at most this many raw samples for percentile estimation;
-#: count/total/min/max stay exact beyond it.
-DEFAULT_MAX_SAMPLES = 4096
+#: Relative accuracy α of every histogram percentile.  Bucket ``i`` holds the
+#: values in ``(γ^(i-1), γ^i]`` with ``γ = (1 + α) / (1 - α)``, so the
+#: bucket's representative ``2γ^i / (γ + 1)`` is within α of each of them.
+RELATIVE_ACCURACY = 0.01
+_GAMMA = (1.0 + RELATIVE_ACCURACY) / (1.0 - RELATIVE_ACCURACY)
+_LOG_GAMMA = log(_GAMMA)
 
 
 def metric_key(name: str, labels: Mapping[str, Any] | None = None) -> str:
@@ -62,23 +69,6 @@ def split_metric_key(key: str) -> tuple[str, dict[str, str]]:
     return name, labels
 
 
-def percentile(ordered: list[float], fraction: float) -> float:
-    """Linear-interpolated percentile of an ascending sample list.
-
-    Well-defined on every sample count: empty lists yield ``0.0`` and a
-    single sample is every percentile of itself.
-    """
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = fraction * (len(ordered) - 1)
-    low = math.floor(position)
-    high = min(low + 1, len(ordered) - 1)
-    weight = position - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
 @dataclass(frozen=True)
 class HistogramSummary:
     """Point-in-time summary of one histogram."""
@@ -93,50 +83,129 @@ class HistogramSummary:
     p99: float = 0.0
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-        }
+        return asdict(self)
 
 
-class _Histogram:
-    __slots__ = ("count", "total", "min", "max", "samples", "max_samples")
+def _representative(index: int) -> float:
+    return 2.0 * _GAMMA**index / (_GAMMA + 1.0)
 
-    def __init__(self, max_samples: int) -> None:
+
+class Histogram:
+    """Log-bucketed histogram: bounded memory, mergeable and subtractable.
+
+    Values land in sparse buckets (see :data:`RELATIVE_ACCURACY`); zeros
+    have a count of their own and a negative value raises
+    :class:`ValueError`.  ``count``, ``total`` (summed in observation
+    order), ``min`` and ``max`` are exact.
+
+    :meth:`quantile` interpolates linearly between the order statistics at
+    rank ``q·(n-1)``.  Rank 0 reads ``min``, rank ``n-1`` reads ``max`` and
+    every other rank reads its bucket's representative clamped to
+    ``[min, max]``, so each estimate is within α of the exact interpolated
+    percentile and sets of one or two samples are exact.
+    """
+
+    __slots__ = ("count", "total", "min", "max", "_zeros", "_buckets")
+
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.samples: list[float] = []
-        self.max_samples = max_samples
+        self.min = inf
+        self.max = -inf
+        self._zeros = 0
+        self._buckets: dict[int, int] = {}
 
     def observe(self, value: float) -> None:
+        if value > 0.0:
+            index = ceil(log(value) / _LOG_GAMMA)
+            buckets = self._buckets
+            buckets[index] = buckets.get(index, 0) + 1
+        elif value == 0.0:
+            self._zeros += 1
+        else:
+            raise ValueError(f"histogram values must be non-negative, got {value!r}")
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        if len(self.samples) < self.max_samples:
-            self.samples.append(value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+
+    def merge(self, other: "Histogram") -> None:
+        """Add every observation of ``other`` to this histogram."""
+        self.count += other.count
+        self.total += other.total
+        self._zeros += other._zeros
+        buckets = self._buckets
+        for index, count in other._buckets.items():
+            buckets[index] = buckets.get(index, 0) + count
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+
+    def copy(self) -> "Histogram":
+        clone = Histogram()
+        clone.merge(self)
+        return clone
+
+    def __sub__(self, earlier: "Histogram") -> "Histogram":
+        """The observations made since ``earlier``, a past copy of ``self``.
+
+        Counts and the total subtract.  The region's own extremes are not
+        recorded, so its ``min`` and ``max`` are the representatives of its
+        lowest and highest non-empty buckets (0 for zeros).
+        """
+        delta = Histogram()
+        delta.count = self.count - earlier.count
+        delta.total = self.total - earlier.total
+        delta._zeros = self._zeros - earlier._zeros
+        for index in self._buckets.keys() | earlier._buckets.keys():
+            left = self._buckets.get(index, 0) - earlier._buckets.get(index, 0)
+            if left:
+                delta._buckets[index] = left
+        if delta._zeros < 0 or min(delta._buckets.values(), default=0) < 0:
+            raise ValueError("earlier is not a past copy of this histogram")
+        if delta.count:
+            delta.min = 0.0 if delta._zeros else _representative(min(delta._buckets))
+            delta.max = _representative(max(delta._buckets)) if delta._buckets else 0.0
+        return delta
+
+    def quantile(self, fraction: float) -> float:
+        """The interpolated ``fraction`` quantile; 0.0 for an empty histogram."""
+        if self.count == 0:
+            return 0.0
+        position = fraction * (self.count - 1)
+        low = floor(position)
+        weight = position - low
+        below = self._order_statistic(low)
+        above = self._order_statistic(min(low + 1, self.count - 1))
+        return below * (1.0 - weight) + above * weight
+
+    def _order_statistic(self, rank: int) -> float:
+        if rank == 0:
+            return self.min
+        if rank == self.count - 1:
+            return self.max
+        seen = self._zeros
+        if rank < seen:
+            return 0.0
+        for index in sorted(self._buckets):
+            seen += self._buckets[index]
+            if rank < seen:
+                break
+        return min(max(_representative(index), self.min), self.max)
 
     def summary(self) -> HistogramSummary:
         if self.count == 0:
             return HistogramSummary()
-        ordered = sorted(self.samples)
         return HistogramSummary(
             count=self.count,
             total=self.total,
             min=self.min,
             max=self.max,
             mean=self.total / self.count,
-            p50=percentile(ordered, 0.50),
-            p95=percentile(ordered, 0.95),
-            p99=percentile(ordered, 0.99),
+            p50=self.quantile(0.50),
+            p95=self.quantile(0.95),
+            p99=self.quantile(0.99),
         )
 
 
@@ -146,32 +215,32 @@ class MetricsSnapshot:
 
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, HistogramSummary] = field(default_factory=dict)
+    histograms: dict[str, Histogram] = field(default_factory=dict)
 
     def diff(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """This snapshot minus ``earlier``: counter and histogram count/total
-        deltas; gauges keep their latest value.  Histogram percentiles are
-        distribution properties and do not subtract — a diffed histogram
-        reports delta count/total/mean only (min/max/percentiles zeroed).
+        """This snapshot minus ``earlier``: the counters and gauges whose
+        value changed, with counter deltas and latest gauge values, and the
+        histograms that gained observations, holding only those (see
+        :meth:`Histogram.__sub__`).
         """
         counters = {
             key: value - earlier.counters.get(key, 0.0)
             for key, value in self.counters.items()
             if value != earlier.counters.get(key, 0.0)
         }
-        histograms: dict[str, HistogramSummary] = {}
-        for key, summary in self.histograms.items():
-            before = earlier.histograms.get(key, HistogramSummary())
-            count = summary.count - before.count
-            if count <= 0:
-                continue
-            total = summary.total - before.total
-            histograms[key] = HistogramSummary(
-                count=count, total=total, mean=total / count
-            )
-        return MetricsSnapshot(
-            counters=counters, gauges=dict(self.gauges), histograms=histograms
-        )
+        gauges = {
+            key: value
+            for key, value in self.gauges.items()
+            if earlier.gauges.get(key) != value
+        }
+        histograms: dict[str, Histogram] = {}
+        for key, histogram in self.histograms.items():
+            before = earlier.histograms.get(key)
+            if before is None:
+                histograms[key] = histogram
+            elif histogram.count > before.count:
+                histograms[key] = histogram - before
+        return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-safe rendering (embedded in Chrome trace ``otherData``)."""
@@ -179,8 +248,8 @@ class MetricsSnapshot:
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": {
-                key: summary.as_dict()
-                for key, summary in sorted(self.histograms.items())
+                key: histogram.summary().as_dict()
+                for key, histogram in sorted(self.histograms.items())
             },
         }
 
@@ -188,14 +257,11 @@ class MetricsSnapshot:
 class MetricsRegistry:
     """Thread-safe registry of counters, gauges and histograms."""
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
-        if max_samples <= 0:
-            raise ValueError("max_samples must be positive")
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._max_samples = max_samples
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, _Histogram] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     # -------------------------------------------------------------- recording
     def inc(self, name: str, value: float = 1.0, **labels: Any) -> None:
@@ -215,9 +281,17 @@ class MetricsRegistry:
         with self._lock:
             histogram = self._histograms.get(key)
             if histogram is None:
-                histogram = _Histogram(self._max_samples)
-                self._histograms[key] = histogram
+                histogram = self._histograms[key] = Histogram()
             histogram.observe(value)
+
+    def merge(self, name: str, histogram: Histogram, **labels: Any) -> None:
+        """Add every observation of ``histogram`` to ``name{labels}``."""
+        key = metric_key(name, labels)
+        with self._lock:
+            target = self._histograms.get(key)
+            if target is None:
+                target = self._histograms[key] = Histogram()
+            target.merge(histogram)
 
     # --------------------------------------------------------------- reading
     def counter_value(self, name: str, **labels: Any) -> float:
@@ -239,7 +313,7 @@ class MetricsRegistry:
                 counters=dict(self._counters),
                 gauges=dict(self._gauges),
                 histograms={
-                    key: histogram.summary()
+                    key: histogram.copy()
                     for key, histogram in self._histograms.items()
                 },
             )
@@ -262,9 +336,9 @@ class MetricsRegistry:
 
         Counters and gauges export their value; histograms export
         ``<key>.count`` plus (for second-valued names, i.e. names whose base
-        ends in ``_seconds``) ``<key>.p50_ms``/``<key>.p95_ms``/``<key>.p99_ms``.
-        Everything
-        defaults to informational — registry values are measurements, not
+        ends in ``_seconds``) ``<key>.p50_ms``/``<key>.p95_ms``/``<key>.p99_ms``
+        — for a diffed snapshot, the percentiles of the metered region.
+        Everything defaults to informational — registry values are measurements, not
         gates — except keys listed in ``gated``, which carry the default
         regression threshold.
         """
@@ -283,7 +357,8 @@ class MetricsRegistry:
             metrics[f"{prefix}{key}"] = make(key, value, "")
         for key, value in sorted(snap.gauges.items()):
             metrics[f"{prefix}{key}"] = make(key, value, "")
-        for key, summary in sorted(snap.histograms.items()):
+        for key, histogram in sorted(snap.histograms.items()):
+            summary = histogram.summary()
             metrics[f"{prefix}{key}.count"] = make(key, float(summary.count), "")
             base_name, _ = split_metric_key(key)
             if base_name.endswith("_seconds"):
@@ -334,7 +409,8 @@ class MetricsRegistry:
                 lines.append(f"  {key:<48} {value:g}")
         if snap.histograms:
             lines.append("histograms:")
-            for key, summary in sorted(snap.histograms.items()):
+            for key, histogram in sorted(snap.histograms.items()):
+                summary = histogram.summary()
                 lines.append(
                     f"  {key:<48} n={summary.count} mean={summary.mean:.6g} "
                     f"p50={summary.p50:.6g} p95={summary.p95:.6g} "

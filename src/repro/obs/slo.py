@@ -5,7 +5,10 @@ The plan service reports every resolved request to an :class:`SloTracker`
 sliding windows — globally, per tenant and per topology — and folds each
 into an :class:`SloReport`: p50/p95/p99 latency, availability, shed /
 degraded / error rates, and error-budget burn against the declared
-:class:`SloPolicy` targets.
+:class:`SloPolicy` targets.  A window is a ``deque(maxlen=window)`` of
+samples, which is already bounded and slides exactly; its percentiles come
+from a :class:`~repro.obs.metrics.Histogram` of the window's successful
+latencies, like every other percentile in the package.
 
 Availability counts served *and* degraded responses as successes (a
 degraded plan is still a plan; the degraded *rate* is tracked separately
@@ -24,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterable, Tuple
 
-from .metrics import percentile
+from .metrics import Histogram
 
 #: Outcomes mirroring ``repro.service.resilience`` (kept as literals so the
 #: obs layer stays import-free of the service layer).
@@ -90,35 +93,19 @@ class SloReport:
 
 def _fold(scope: str, samples: Iterable[_Sample], policy: SloPolicy) -> SloReport:
     outcomes = []
-    latencies = []
+    latencies = Histogram()
     for outcome, latency in samples:
         outcomes.append(outcome)
         if outcome in _SUCCESS_OUTCOMES:
-            latencies.append(latency)
+            latencies.observe(latency)
     count = len(outcomes)
-    if count == 0:
-        return SloReport(
-            scope=scope,
-            count=0,
-            availability=1.0,
-            p50_latency_seconds=0.0,
-            p95_latency_seconds=0.0,
-            p99_latency_seconds=0.0,
-            shed_rate=0.0,
-            degraded_rate=0.0,
-            error_rate=0.0,
-            error_budget_burn=0.0,
-            compliant=True,
-        )
-    successes = sum(1 for o in outcomes if o in _SUCCESS_OUTCOMES)
-    availability = successes / count
-    shed_rate = outcomes.count("shed") / count
-    degraded_rate = outcomes.count("degraded") / count
-    error_rate = outcomes.count("error") / count
-    ordered = sorted(latencies)
-    p50 = percentile(ordered, 0.50) if ordered else 0.0
-    p95 = percentile(ordered, 0.95) if ordered else 0.0
-    p99 = percentile(ordered, 0.99) if ordered else 0.0
+    # An empty window is fully available, with every rate and percentile 0.
+    availability = latencies.count / count if count else 1.0
+    shed_rate = outcomes.count("shed") / max(count, 1)
+    degraded_rate = outcomes.count("degraded") / max(count, 1)
+    error_rate = outcomes.count("error") / max(count, 1)
+    summary = latencies.summary()
+    p50, p95, p99 = summary.p50, summary.p95, summary.p99
     budget = policy.error_budget()
     unavailability = 1.0 - availability
     if budget > 0.0:

@@ -77,7 +77,6 @@ from repro.service.stats import (
     OUTCOME_HIT,
     OUTCOME_MISS,
     OUTCOME_SHED,
-    LatencySummary,
     ServiceStats,
 )
 from repro.service.store import (
@@ -96,7 +95,6 @@ __all__ = [
     "FleetError",
     "IncrementalPlanner",
     "IncrementalStats",
-    "LatencySummary",
     "OUTCOME_COALESCED",
     "OUTCOME_DEGRADED",
     "OUTCOME_HIT",

@@ -32,8 +32,12 @@ Fault injection (:mod:`repro.faults`) threads through the same hook points
 deterministically; see ``docs/resilience.md`` for the ladder, the policy
 knobs and the determinism rules.
 
-Every completed request records its outcome and end-to-end latency in a
-:class:`~repro.service.stats.ServiceStats` accumulator.
+Every request closes in one place, :meth:`PlanService._resolve`: it
+attaches the request's :class:`PlanResponse`, journals ``request.resolved``,
+records the SLO sample, the :class:`~repro.service.stats.ServiceStats`
+outcome and the registry metric, and resolves the future last.  Coalesced
+followers close there too, under their own trace ID, when the leader's
+future resolves — successfully or not.
 
 Request-scoped telemetry threads through every path: each submission mints a
 deterministic trace ID (:class:`~repro.obs.telemetry.TraceIdGenerator` —
@@ -58,7 +62,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Union
 
 from repro.cluster.topology import ClusterTopology
@@ -324,7 +328,10 @@ class PlanService:
             reset_seconds=(resilience.breaker_reset_seconds if resilience else 0.5),
         )
         self._queue: queue.Queue = queue.Queue()
-        self._inflight: dict[str, Future] = {}
+        self._inflight: dict[str, _Request] = {}
+        # The trace ID each thread last minted: ``request`` reads it back,
+        # because a coalesced follower's future is the leader's.
+        self._submitted = threading.local()
         self._lock = threading.Lock()
         self._closed = False
         self._cancel_pending = False
@@ -387,6 +394,7 @@ class PlanService:
             else:
                 fp = self.fingerprint(workload)
             trace_id = self.trace_ids.mint(fp)
+            self._submitted.trace_id = trace_id
             span.set(fingerprint=fp[:12], trace_id=trace_id)
             self._emit(EVENT_SUBMITTED, trace_id, tenant=tenant, fingerprint=fp)
 
@@ -397,11 +405,14 @@ class PlanService:
             with self._lock:
                 if self._closed:
                     raise ServiceError("PlanService is closed")
+                future: Future = Future()
+                future._repro_trace_id = trace_id
                 cached = self.cache.get(fp)
                 if cached is not None:
-                    future: Future = Future()
-                    future._repro_trace_id = trace_id
-                    self._attach_response(
+                    self._emit(
+                        EVENT_CACHE_HIT, trace_id, tenant=tenant, tier=TIER_CACHE
+                    )
+                    self._resolve(
                         future,
                         PlanResponse(
                             outcome=RESPONSE_SERVED,
@@ -411,45 +422,28 @@ class PlanService:
                             trace_id=trace_id,
                             tenant=tenant,
                         ),
+                        start,
+                        OUTCOME_HIT,
+                        result=cached,
                     )
-                    self._emit(
-                        EVENT_CACHE_HIT, trace_id, tenant=tenant, tier=TIER_CACHE
-                    )
-                    self._emit(
-                        EVENT_RESOLVED,
-                        trace_id,
-                        tenant=tenant,
-                        tier=TIER_CACHE,
-                        outcome=RESPONSE_SERVED,
-                    )
-                    self._slo_record(
-                        RESPONSE_SERVED, time.monotonic() - start, tenant
-                    )
-                    future.set_result(cached)
-                    self.stats.record(OUTCOME_HIT, time.monotonic() - start)
-                    metrics.inc("service.cache", outcome=OUTCOME_HIT)
                     span.set(outcome=OUTCOME_HIT)
                     return future
-                inflight = self._inflight.get(fp)
-                if inflight is not None:
-                    leader = getattr(inflight, "_repro_trace_id", None)
+                leader = self._inflight.get(fp)
+                if leader is not None:
                     self._emit(
-                        EVENT_COALESCED, trace_id, tenant=tenant, leader=leader
+                        EVENT_COALESCED, trace_id, tenant=tenant, leader=leader.trace_id
                     )
-                    self._record_on_completion(
-                        inflight, OUTCOME_COALESCED, start, trace_id, tenant
-                    )
+                    self._close_follower(leader.future, start, trace_id, tenant)
                     metrics.inc("service.cache", outcome=OUTCOME_COALESCED)
                     span.set(outcome=OUTCOME_COALESCED)
-                    return inflight
+                    return leader.future
                 if (
                     self.resilience is not None
                     and self.resilience.max_queue_depth is not None
                     and len(self._inflight) >= self.resilience.max_queue_depth
                 ):
-                    future = Future()
-                    future._repro_trace_id = trace_id
-                    self._attach_response(
+                    self._emit(EVENT_SHED, trace_id, tenant=tenant)
+                    self._resolve(
                         future,
                         PlanResponse(
                             outcome=RESPONSE_SHED,
@@ -459,30 +453,16 @@ class PlanService:
                             trace_id=trace_id,
                             tenant=tenant,
                         ),
-                    )
-                    self._emit(EVENT_SHED, trace_id, tenant=tenant)
-                    self._emit(
-                        EVENT_RESOLVED,
-                        trace_id,
-                        tenant=tenant,
-                        outcome=RESPONSE_SHED,
-                    )
-                    self._slo_record(
-                        RESPONSE_SHED, time.monotonic() - start, tenant
-                    )
-                    future.set_exception(
-                        ServiceOverloadError(
+                        start,
+                        OUTCOME_SHED,
+                        error=ServiceOverloadError(
                             f"request shed: {len(self._inflight)} requests "
                             "already queued or in flight"
-                        )
+                        ),
                     )
-                    self.stats.record(OUTCOME_SHED, time.monotonic() - start)
-                    metrics.inc("service.shed")
                     span.set(outcome=OUTCOME_SHED)
                     return future
-                future = Future()
                 future._repro_fingerprint = fp  # for timeout cleanup
-                future._repro_trace_id = trace_id
                 deadline = None
                 if (
                     self.resilience is not None
@@ -499,7 +479,7 @@ class PlanService:
                     trace_id=trace_id,
                     tenant=tenant,
                 )
-                self._inflight[fp] = future
+                self._inflight[fp] = request
                 self._queue.put(request)
                 self._emit(EVENT_ENQUEUED, trace_id, tenant=tenant)
                 metrics.inc("service.cache", outcome=OUTCOME_MISS)
@@ -543,43 +523,34 @@ class PlanService:
         happened, and ``response.plan`` carries the plan whenever one was
         served.  (A client-side ``timeout`` expiry is the one exception that
         still surfaces as an ``error`` response rather than an exception.)
+        A coalesced follower gets the leader's plan, tier, outcome and
+        attempts under its own ``trace_id`` and ``tenant``.
         """
         future = self.submit(workload, tenant=tenant, fingerprint=fingerprint)
+        trace_id = self._submitted.trace_id
         try:
-            plan = future.result(timeout=timeout)
+            future.result(timeout=timeout)
+            error = None
         except FutureTimeoutError:
             self._abandon(future)
-            return PlanResponse(
-                outcome=RESPONSE_ERROR,
-                tier=None,
-                fingerprint=getattr(future, "_repro_fingerprint", ""),
-                error=f"client timeout after {timeout}s",
-                trace_id=getattr(future, "_repro_trace_id", None),
-                tenant=tenant,
-            )
+            error = f"client timeout after {timeout}s"
         except Exception as exc:  # noqa: BLE001 - folded into the response
-            response = self._response_of(future)
-            if response is not None:
-                return response
+            error = None if self._response_of(future) is not None else str(exc)
+        if error is not None:
+            # Timed out, or cancelled by its caller: the service never closed
+            # this request, so there is no attached response to return.
             return PlanResponse(
                 outcome=RESPONSE_ERROR,
                 tier=None,
                 fingerprint=getattr(future, "_repro_fingerprint", ""),
-                error=str(exc),
-                trace_id=getattr(future, "_repro_trace_id", None),
+                error=error,
+                trace_id=trace_id,
                 tenant=tenant,
             )
         response = self._response_of(future)
-        if response is not None:
-            return response
-        return PlanResponse(
-            outcome=RESPONSE_SERVED,
-            tier=TIER_FRESH,
-            fingerprint=plan.fingerprint or "",
-            plan=plan,
-            trace_id=getattr(future, "_repro_trace_id", None),
-            tenant=tenant,
-        )
+        if response.trace_id != trace_id:
+            response = replace(response, trace_id=trace_id, tenant=tenant)
+        return response
 
     def serialized_plan(
         self, workload: PlannerInput, timeout: float | None = None
@@ -645,20 +616,6 @@ class PlanService:
                 kind, trace_id, topology=self._topology_label, **fields
             )
 
-    def _slo_record(
-        self, outcome: str, latency_seconds: float, tenant: str | None
-    ) -> None:
-        if self.slo is not None:
-            self.slo.record(
-                outcome,
-                latency_seconds,
-                tenant=tenant,
-                topology=self._topology_label,
-            )
-
-    def _attach_response(self, future: Future, response: PlanResponse) -> None:
-        future._repro_response = response
-
     @staticmethod
     def _response_of(future: Future) -> PlanResponse | None:
         return getattr(future, "_repro_response", None)
@@ -674,13 +631,14 @@ class PlanService:
         if fp is None:
             return
         with self._lock:
-            if self._inflight.get(fp) is future:
+            request = self._inflight.get(fp)
+            if request is not None and request.future is future:
                 del self._inflight[fp]
 
     def _fail_leftovers(self) -> None:
         """Resolve every still-pending future after the workers exited."""
         with self._lock:
-            leftovers = list(self._inflight.items())
+            leftovers = list(self._inflight.values())
             self._inflight.clear()
             drained: list[_Request] = []
             while True:
@@ -694,64 +652,94 @@ class PlanService:
             self._fail_request(
                 request, ServiceError("PlanService closed before planning started")
             )
-        for fp, future in leftovers:
-            if not future.done():
-                trace_id = getattr(future, "_repro_trace_id", None)
-                self._attach_response(
-                    future,
+        message = "PlanService closed before the request completed"
+        for request in leftovers:
+            if not request.future.done():  # not failed above as drained
+                self._resolve(
+                    request.future,
                     PlanResponse(
                         outcome=RESPONSE_ERROR,
                         tier=None,
-                        fingerprint=fp,
-                        error="PlanService closed before the request completed",
-                        trace_id=trace_id,
+                        fingerprint=request.fingerprint,
+                        error=message,
+                        trace_id=request.trace_id,
                     ),
-                )
-                self.stats.record_error()
-                get_metrics().inc("service.errors")
-                self._emit(EVENT_RESOLVED, trace_id, outcome=RESPONSE_ERROR)
-                future.set_exception(
-                    ServiceError("PlanService closed before the request completed")
+                    request.submitted_at,
+                    error=ServiceError(message),
                 )
 
-    def _record_on_completion(
-        self,
-        future: Future,
-        outcome: str,
-        start: float,
-        trace_id: str | None = None,
-        tenant: str | None = None,
+    def _close_follower(
+        self, future: Future, start: float, trace_id: str, tenant: str | None
     ) -> None:
+        """Close a coalesced follower, under its own trace ID and tenant,
+        when the leader's shared future resolves (as an error if it failed)."""
+
         def _done(completed: Future) -> None:
-            # Failed requests are accounted as errors by the worker, not as
-            # outcomes — recording them here too would double-count them and
-            # pollute the latency percentiles.
-            if completed.cancelled() or completed.exception() is not None:
+            if completed.cancelled():
                 return
-            latency = time.monotonic() - start
-            if trace_id is not None:
-                # The coalesced follower resolves with the leader's response:
-                # journal its lifecycle close under its *own* trace ID.
-                response = self._response_of(completed)
-                self._emit(
-                    EVENT_RESOLVED,
-                    trace_id,
-                    tenant=tenant,
-                    tier=response.tier if response is not None else None,
-                    outcome=(
-                        response.outcome
-                        if response is not None
-                        else RESPONSE_SERVED
-                    ),
-                )
-                self._slo_record(
-                    response.outcome if response is not None else RESPONSE_SERVED,
-                    latency,
-                    tenant,
-                )
-            self.stats.record(outcome, latency)
+            response = replace(
+                self._response_of(completed), trace_id=trace_id, tenant=tenant
+            )
+            self._resolve(None, response, start, OUTCOME_COALESCED)
 
         future.add_done_callback(_done)
+
+    def _resolve(
+        self,
+        future: Future | None,
+        response: PlanResponse,
+        started_at: float,
+        outcome: str | None = None,
+        *,
+        attempt: int | None = None,
+        result: ExecutionPlan | None = None,
+        error: Exception | None = None,
+    ) -> None:
+        """Close one request: every sink in one fixed order, the future last.
+
+        The order: attach ``response`` to ``future``; journal
+        ``request.resolved`` with the response's tenant, tier and outcome
+        (plus ``attempt`` where the site journals one); record the SLO
+        sample; record the stats ``outcome`` and its registry counter, or an
+        error for an ``error`` response; resolve the future with ``result``
+        or ``error``.  Journaling first keeps a serial submitter's journal
+        ordered.  ``future`` must still be pending; a coalesced follower
+        passes none, since it shares the leader's, already resolved one.
+        """
+        if future is not None:
+            future._repro_response = response
+        latency = time.monotonic() - started_at
+        self._emit(
+            EVENT_RESOLVED,
+            response.trace_id,
+            tenant=response.tenant,
+            tier=response.tier,
+            attempt=attempt,
+            outcome=response.outcome,
+        )
+        if self.slo is not None:
+            self.slo.record(
+                response.outcome,
+                latency,
+                tenant=response.tenant,
+                topology=self._topology_label,
+            )
+        metrics = get_metrics()
+        if response.outcome == RESPONSE_ERROR:
+            self.stats.record_error()
+            metrics.inc("service.errors")
+        else:
+            self.stats.record(outcome, latency)
+            if outcome == OUTCOME_HIT:
+                metrics.inc("service.cache", outcome=OUTCOME_HIT)
+            elif outcome == OUTCOME_SHED:
+                metrics.inc("service.shed")
+        if future is None:
+            return
+        if error is not None:
+            future.set_exception(error)
+        else:
+            future.set_result(result)
 
     def _update_breaker_gauge(self) -> None:
         get_metrics().gauge(
@@ -846,9 +834,8 @@ class PlanService:
         degraded = tier in (TIER_STALE, TIER_INCREMENTAL, TIER_REFERENCE)
         outcome = OUTCOME_DEGRADED if degraded else OUTCOME_MISS
         response_outcome = RESPONSE_DEGRADED if degraded else RESPONSE_SERVED
-        metrics = get_metrics()
         if degraded:
-            metrics.inc("service.degraded", tier=tier)
+            get_metrics().inc("service.degraded", tier=tier)
             # One ladder decision per group: journaled once, under the
             # leader's trace ID (per-request tiers land in their resolved
             # events below).
@@ -860,72 +847,51 @@ class PlanService:
                 attempt=attempts,
             )
         for request in requests:
-            with self._lock:
-                if self._inflight.get(request.fingerprint) is request.future:
-                    del self._inflight[request.fingerprint]
-            self._attach_response(
-                request.future,
-                PlanResponse(
-                    outcome=response_outcome,
-                    tier=tier,
-                    fingerprint=request.fingerprint,
-                    plan=plan,
-                    attempts=attempts,
-                    trace_id=request.trace_id,
-                    tenant=request.tenant,
-                ),
-            )
-            if not request.future.done():
-                latency = time.monotonic() - request.submitted_at
-                # Resolution is journaled before the future resolves so a
-                # blocked serial submitter can't interleave its next
-                # request's events ahead of this one's close.
-                self._emit(
-                    EVENT_RESOLVED,
-                    request.trace_id,
-                    tenant=request.tenant,
-                    tier=tier,
+            if self._claim(request):
+                self._resolve(
+                    request.future,
+                    PlanResponse(
+                        outcome=response_outcome,
+                        tier=tier,
+                        fingerprint=request.fingerprint,
+                        plan=plan,
+                        attempts=attempts,
+                        trace_id=request.trace_id,
+                        tenant=request.tenant,
+                    ),
+                    request.submitted_at,
+                    outcome,
                     attempt=attempts,
-                    outcome=response_outcome,
+                    result=plan,
                 )
-                self._slo_record(response_outcome, latency, request.tenant)
-                self.stats.record(outcome, latency)
-                request.future.set_result(plan)
 
     def _fail_request(
         self, request: _Request, exc: Exception, attempts: int = 0
     ) -> None:
-        with self._lock:
-            if self._inflight.get(request.fingerprint) is request.future:
-                del self._inflight[request.fingerprint]
-        self._attach_response(
-            request.future,
-            PlanResponse(
-                outcome=RESPONSE_ERROR,
-                tier=None,
-                fingerprint=request.fingerprint,
-                attempts=attempts,
-                error=str(exc),
-                trace_id=request.trace_id,
-                tenant=request.tenant,
-            ),
-        )
-        self.stats.record_error()
-        get_metrics().inc("service.errors")
-        if not request.future.done():
-            self._emit(
-                EVENT_RESOLVED,
-                request.trace_id,
-                tenant=request.tenant,
+        if self._claim(request):
+            self._resolve(
+                request.future,
+                PlanResponse(
+                    outcome=RESPONSE_ERROR,
+                    tier=None,
+                    fingerprint=request.fingerprint,
+                    attempts=attempts,
+                    error=str(exc),
+                    trace_id=request.trace_id,
+                    tenant=request.tenant,
+                ),
+                request.submitted_at,
                 attempt=attempts,
-                outcome=RESPONSE_ERROR,
+                error=exc,
             )
-            self._slo_record(
-                RESPONSE_ERROR,
-                time.monotonic() - request.submitted_at,
-                request.tenant,
-            )
-            request.future.set_exception(exc)
+
+    def _claim(self, request: _Request) -> bool:
+        """Drop ``request``'s single-flight slot if it still holds it; True
+        while its future is pending, False once its caller cancelled it."""
+        with self._lock:
+            if self._inflight.get(request.fingerprint) is request:
+                del self._inflight[request.fingerprint]
+        return not request.future.done()
 
     # ----------------------------------------------------------------- solving
     def _serve_group(

@@ -1,21 +1,22 @@
 """Service-level throughput, latency and hit-rate accounting.
 
-The plan service records one observation per completed request: how it was
-satisfied (cache hit, coalesced onto an in-flight computation, or a fresh
-planner run) and its end-to-end latency.  :class:`ServiceStats` aggregates the
-observations into the numbers an operator of a serving tier watches —
-throughput, latency percentiles and the hit/coalesce split — and renders them
-as a small report table.
+The plan service records one observation per resolved request: how it was
+satisfied (cache hit, coalesced onto an in-flight computation, a fresh
+planner run, a degraded tier or a shed) and its end-to-end latency, or an
+error.  :class:`ServiceStats` keeps one
+:class:`~repro.obs.metrics.Histogram` per outcome, so its memory is bounded
+however long the service runs, and aggregates them into the numbers an
+operator of a serving tier watches — throughput, latency percentiles and
+the hit/coalesce split — rendered as a small report table.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.metrics import percentile
+from repro.obs.metrics import Histogram, HistogramSummary
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -39,54 +40,21 @@ _OUTCOMES = (
 )
 
 
-@dataclass(frozen=True)
-class LatencySummary:
-    """Latency distribution of one outcome class, in seconds.
-
-    Every field is well-defined on any sample count: an empty summary is all
-    zeros (with ``count == 0`` marking it empty rather than measured-as-zero)
-    and a single sample is its own mean, median, p95 and max.  Percentiles of
-    larger sets use the shared linear-interpolation estimator
-    (:func:`repro.obs.metrics.percentile`), never an index-rounding edge case.
-    """
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    max: float
-    p99: float = 0.0
-
-    @staticmethod
-    def from_samples(samples: list[float]) -> "LatencySummary":
-        if not samples:
-            return LatencySummary(
-                count=0, mean=0.0, p50=0.0, p95=0.0, max=0.0, p99=0.0
-            )
-        if len(samples) == 1:
-            value = samples[0]
-            return LatencySummary(
-                count=1, mean=value, p50=value, p95=value, max=value, p99=value
-            )
-        ordered = sorted(samples)
-        return LatencySummary(
-            count=len(ordered),
-            mean=sum(ordered) / len(ordered),
-            p50=percentile(ordered, 0.50),
-            p95=percentile(ordered, 0.95),
-            max=ordered[-1],
-            p99=percentile(ordered, 0.99),
-        )
-
-
 class ServiceStats:
-    """Thread-safe accumulator of per-request service observations."""
+    """Thread-safe accumulator of per-request service observations.
+
+    Every request the service resolves lands here exactly once: a served,
+    degraded or shed request through :meth:`record`, a failed one through
+    :meth:`record_error`.  :attr:`errors` therefore counts failed requests,
+    coalesced followers of a failed solve included, and is not part of
+    :attr:`total_requests`.
+    """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._started_at = clock()
-        self._latencies: dict[str, list[float]] = {o: [] for o in _OUTCOMES}
+        self._latencies = {outcome: Histogram() for outcome in _OUTCOMES}
         self._errors = 0
 
     # -------------------------------------------------------------- recording
@@ -94,7 +62,7 @@ class ServiceStats:
         if outcome not in _OUTCOMES:
             raise ValueError(f"Unknown request outcome {outcome!r}")
         with self._lock:
-            self._latencies[outcome].append(latency_seconds)
+            self._latencies[outcome].observe(latency_seconds)
 
     def record_error(self) -> None:
         with self._lock:
@@ -104,7 +72,7 @@ class ServiceStats:
     @property
     def total_requests(self) -> int:
         with self._lock:
-            return sum(len(v) for v in self._latencies.values())
+            return sum(h.count for h in self._latencies.values())
 
     @property
     def errors(self) -> int:
@@ -113,17 +81,18 @@ class ServiceStats:
 
     def count(self, outcome: str) -> int:
         with self._lock:
-            return len(self._latencies[outcome])
+            return self._latencies[outcome].count
 
     @property
     def hit_rate(self) -> float:
         """Fraction of requests served without a fresh planner run."""
         with self._lock:
-            total = sum(len(v) for v in self._latencies.values())
+            total = sum(h.count for h in self._latencies.values())
             if total == 0:
                 return 0.0
-            served = len(self._latencies[OUTCOME_HIT]) + len(
-                self._latencies[OUTCOME_COALESCED]
+            served = (
+                self._latencies[OUTCOME_HIT].count
+                + self._latencies[OUTCOME_COALESCED].count
             )
             return served / total
 
@@ -139,14 +108,16 @@ class ServiceStats:
             return 0.0
         return self.total_requests / elapsed
 
-    def latency(self, outcome: str) -> LatencySummary:
+    def latency(self, outcome: str) -> HistogramSummary:
         with self._lock:
-            return LatencySummary.from_samples(list(self._latencies[outcome]))
+            return self._latencies[outcome].summary()
 
-    def overall_latency(self) -> LatencySummary:
+    def overall_latency(self) -> HistogramSummary:
+        merged = Histogram()
         with self._lock:
-            merged = [s for samples in self._latencies.values() for s in samples]
-        return LatencySummary.from_samples(merged)
+            for histogram in self._latencies.values():
+                merged.merge(histogram)
+        return merged.summary()
 
     # -------------------------------------------------------------- reporting
     def to_registry(
@@ -164,14 +135,14 @@ class ServiceStats:
 
         registry = registry if registry is not None else MetricsRegistry()
         with self._lock:
-            samples = {o: list(v) for o, v in self._latencies.items()}
+            latencies = {o: h.copy() for o, h in self._latencies.items()}
             errors = self._errors
-        for outcome, values in samples.items():
-            registry.inc("service.cache", len(values), outcome=outcome)
-            for value in values:
-                registry.observe("service.latency_seconds", value, outcome=outcome)
-                registry.observe("service.latency_seconds", value)
-        registry.inc("service.requests", sum(len(v) for v in samples.values()))
+        for outcome, histogram in latencies.items():
+            registry.inc("service.cache", histogram.count, outcome=outcome)
+            if histogram.count:
+                registry.merge("service.latency_seconds", histogram, outcome=outcome)
+                registry.merge("service.latency_seconds", histogram)
+        registry.inc("service.requests", sum(h.count for h in latencies.values()))
         registry.inc("service.errors", errors)
         registry.gauge("service.hit_rate", self.hit_rate)
         registry.gauge("service.throughput", self.throughput)

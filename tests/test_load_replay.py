@@ -12,6 +12,7 @@ from repro.experiments.load_replay import (
     simulate_fleet,
 )
 from repro.experiments.workloads import clip_workload
+from repro.obs import RELATIVE_ACCURACY
 from repro.obs.slo import SloTracker
 
 
@@ -70,10 +71,16 @@ class TestSimulateFleet:
         assert run.hits == 1  # the late arrival after completion
 
     def test_hits_cost_less_than_solves(self):
-        arrivals = [0.0, 1.0]
-        run = simulate_fleet(arrivals, ["aa", "aa"], {"aa": 10.0}, num_shards=1)
-        assert run.p99_ms == pytest.approx(10.0)
-        assert run.p50_ms == pytest.approx(HIT_COST_MS)
+        # Two solves and eight hits: the two largest latencies are solves and
+        # the middle ones hits, so nearest-rank and interpolated percentiles
+        # agree that p99 is the solve cost and p50 the hit cost.
+        arrivals = [float(second) for second in range(10)]
+        run = simulate_fleet(
+            arrivals, ["aa", "bb"] * 5, {"aa": 10.0, "bb": 10.0}, num_shards=1
+        )
+        assert (run.solves, run.hits) == (2, 8)
+        assert run.p99_ms == pytest.approx(10.0, rel=RELATIVE_ACCURACY)
+        assert run.p50_ms == pytest.approx(HIT_COST_MS, rel=RELATIVE_ACCURACY)
 
     def test_sharding_parallelizes_backlogged_solves(self):
         # 8 distinct fingerprints arriving at once: 1 shard serializes all

@@ -1,20 +1,30 @@
 """Tests for service stats: latency edge cases and the registry export."""
 
+import random
+import tracemalloc
+
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import RELATIVE_ACCURACY, MetricsRegistry
 from repro.service import OUTCOME_COALESCED, OUTCOME_HIT, OUTCOME_MISS
-from repro.service.stats import LatencySummary, ServiceStats
+from repro.service.stats import ServiceStats
 
 
-class TestLatencySummary:
+def latency_of(samples):
+    stats = ServiceStats()
+    for sample in samples:
+        stats.record(OUTCOME_MISS, sample)
+    return stats.latency(OUTCOME_MISS)
+
+
+class TestOutcomeLatency:
     def test_empty_is_all_zeros(self):
-        summary = LatencySummary.from_samples([])
+        summary = latency_of([])
         assert summary.count == 0
         assert summary.mean == summary.p50 == summary.p95 == summary.max == 0.0
 
     def test_single_sample_is_its_own_distribution(self):
-        summary = LatencySummary.from_samples([0.25])
+        summary = latency_of([0.25])
         assert summary.count == 1
         assert summary.mean == 0.25
         assert summary.p50 == 0.25
@@ -22,7 +32,7 @@ class TestLatencySummary:
         assert summary.max == 0.25
 
     def test_two_samples_interpolate(self):
-        summary = LatencySummary.from_samples([0.0, 1.0])
+        summary = latency_of([0.0, 1.0])
         assert summary.count == 2
         assert summary.mean == pytest.approx(0.5)
         assert summary.p50 == pytest.approx(0.5)
@@ -30,9 +40,43 @@ class TestLatencySummary:
         assert summary.max == 1.0
 
     def test_unsorted_input_handled(self):
-        summary = LatencySummary.from_samples([3.0, 1.0, 2.0])
-        assert summary.p50 == pytest.approx(2.0)
+        summary = latency_of([3.0, 1.0, 2.0])
+        assert summary.p50 == pytest.approx(2.0, rel=RELATIVE_ACCURACY)
         assert summary.max == 3.0
+
+    def test_overall_latency_merges_every_outcome(self):
+        stats = ServiceStats()
+        stats.record(OUTCOME_HIT, 0.001)
+        stats.record(OUTCOME_MISS, 0.100)
+        overall = stats.overall_latency()
+        assert overall.count == 2
+        assert overall.min == 0.001 and overall.max == 0.100
+        assert overall.p50 == pytest.approx(0.0505)
+
+
+class TestBoundedMemory:
+    def test_latency_memory_does_not_grow_with_requests(self):
+        stats = ServiceStats()
+        registry = MetricsRegistry()
+        rng = random.Random(7)
+
+        def record(count: int) -> None:
+            for _ in range(count):
+                latency = rng.uniform(1e-4, 5e-2)  # a fresh float object
+                stats.record(OUTCOME_HIT, latency)
+                registry.observe("service.latency_seconds", latency)
+
+        tracemalloc.start()
+        try:
+            record(10_000)
+            before, _ = tracemalloc.get_traced_memory()
+            record(90_000)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.count(OUTCOME_HIT) == 100_000
+        assert registry.histogram_summary("service.latency_seconds").count == 100_000
+        assert after - before < 64 * 1024
 
 
 class TestServiceStats:

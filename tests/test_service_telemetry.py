@@ -1,12 +1,16 @@
 """Service-level telemetry: trace IDs, journaled lifecycles, SLO samples."""
 
+import hashlib
 import threading
+import time
 
 import pytest
 
 from repro.cluster.topology import make_cluster
 from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner
+from repro.experiments.harness import run_resilience_benchmark
+from repro.experiments.workloads import clip_workload
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.plan import PLANNER_ERROR
 from repro.obs import (
@@ -30,6 +34,14 @@ class GatedPlanner(ExecutionPlanner):
         return super().plan(workload, **kwargs)
 
 
+class FailingPlanner(GatedPlanner):
+    """Gated planner whose solve raises once the gate opens."""
+
+    def plan(self, workload, **kwargs) -> ExecutionPlan:
+        assert self.gate.wait(timeout=10.0), "test gate never opened"
+        raise RuntimeError("planner down")
+
+
 @pytest.fixture
 def cluster():
     return make_cluster(4, devices_per_node=4)
@@ -37,6 +49,17 @@ def cluster():
 
 def kinds_for(journal, trace_id):
     return [e["kind"] for e in journal.events() if e["trace_id"] == trace_id]
+
+
+def wait_for_event(journal, kind):
+    """The first journaled ``kind`` event, polling until it appears."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        for event in journal.events():
+            if event["kind"] == kind:
+                return event
+        assert time.monotonic() < deadline, f"no {kind} event"
+        time.sleep(0.001)
 
 
 class TestLifecycles:
@@ -91,6 +114,79 @@ class TestLifecycles:
             coalesced[0]["trace_id"]
         ]
         assert follower.leader == leader_id
+
+    def test_follower_of_a_failed_solve_resolves_as_an_error(
+        self, cluster, tiny_tasks
+    ):
+        journal = TelemetryJournal()
+        slo = SloTracker()
+        gate = threading.Event()
+        service = PlanService(
+            FailingPlanner(cluster, gate), num_workers=1, journal=journal, slo=slo
+        )
+        try:
+            leader_future = service.submit(tiny_tasks)
+            follower_future = service.submit(tiny_tasks)
+            assert follower_future is leader_future
+            gate.set()
+            with pytest.raises(RuntimeError):
+                leader_future.result(timeout=30.0)
+        finally:
+            gate.set()
+            service.close()
+        follower_id = wait_for_event(journal, "request.coalesced")["trace_id"]
+        assert kinds_for(journal, follower_id) == [
+            "request.submitted",
+            "request.coalesced",
+            "request.resolved",
+        ]
+        assert reconstruct_requests(journal.events())[follower_id].outcome == "error"
+        report = attribution_report(journal.events())
+        assert report["complete"] == report["requests"] == 2
+        assert slo.report().count == 2
+        assert slo.report().error_rate == 1.0
+        assert service.stats.errors == 2
+
+    def test_coalesced_follower_response_keeps_its_own_identity(
+        self, cluster, tiny_tasks
+    ):
+        journal = TelemetryJournal()
+        gate = threading.Event()
+        responses = {}
+        service = PlanService(
+            GatedPlanner(cluster, gate), num_workers=1, journal=journal
+        )
+
+        def request(tenant):
+            responses[tenant] = service.request(tiny_tasks, timeout=30.0, tenant=tenant)
+
+        threads = [
+            threading.Thread(target=request, args=(tenant,))
+            for tenant in ("tenant-a", "tenant-b")
+        ]
+        try:
+            threads[0].start()
+            wait_for_event(journal, "request.enqueued")
+            threads[1].start()
+            coalesced = wait_for_event(journal, "request.coalesced")
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            gate.set()
+            service.close()
+        leader, follower = responses["tenant-a"], responses["tenant-b"]
+        assert coalesced["leader"] == leader.trace_id
+        assert follower.trace_id == coalesced["trace_id"] != leader.trace_id
+        assert follower.tenant == "tenant-b"
+        assert follower.plan is leader.plan
+        assert (follower.outcome, follower.tier, follower.attempts) == (
+            leader.outcome,
+            leader.tier,
+            leader.attempts,
+        )
+        lifecycle = reconstruct_requests(journal.events())[follower.trace_id]
+        assert lifecycle.tenant == "tenant-b"
 
     def test_shed_requests_resolve_in_the_journal(self, cluster, tiny_tasks):
         journal = TelemetryJournal()
@@ -228,3 +324,46 @@ class TestFleetSharing:
         assert {life.topology for life in lifecycles.values()} == labels
         assert slo.report().count == len(workloads)
         assert len(slo.topology_reports()) == len(labels)
+
+
+# SHA-256 of ``TelemetryJournal.dumps()``, the stats outcome counts and the
+# SLO sample count of the two chaos campaigns ``bench_service_resilience``
+# runs (seed 3: worker crashes and planner errors; seed 6: cache corruption
+# and slow solves), recorded before the service's resolution sites were
+# folded into one method.  Any change to the events a request emits, their
+# fields or their order changes a digest.
+_PINNED_COUNTS = ("requests", "hits", "misses", "coalesced", "degraded", "shed", "errors")
+_PINNED_CAMPAIGNS = {
+    3: (
+        "eb433ed20d2e29553a6c9c107c55cac337f5b85d34aaad90ed47debd608ff327",
+        (30, 24, 5, 0, 1, 0, 0),
+        30,
+    ),
+    6: (
+        "7216f41c012578719c8ac145dd1c697895e0f09865d0f8fa33bcf3b14f5de10e",
+        (30, 23, 7, 0, 0, 0, 0),
+        30,
+    ),
+}
+
+
+class TestPinnedJournals:
+    @pytest.mark.parametrize("seed", sorted(_PINNED_CAMPAIGNS))
+    def test_chaos_campaign_journal_is_pinned(self, seed):
+        digest, counts, slo_count = _PINNED_CAMPAIGNS[seed]
+        journal = TelemetryJournal()
+        slo = SloTracker()
+        result = run_resilience_benchmark(
+            clip_workload(6, 16),
+            num_requests=30,
+            num_unique=12,
+            profile="chaos",
+            seed=seed,
+            journal=journal,
+            slo=slo,
+            num_tenants=3,
+        )
+        stats = result.stats.as_dict()
+        assert tuple(stats[key] for key in _PINNED_COUNTS) == counts
+        assert slo.report().count == slo_count
+        assert hashlib.sha256(journal.dumps().encode()).hexdigest() == digest
