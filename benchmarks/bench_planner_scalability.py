@@ -9,9 +9,15 @@ super-linearly with cluster size; with cached allocation grids, table-driven
 ``Find_Inverse_Value`` and precomputed topology lookups the sweep stays within
 single-digit seconds even at 4096 devices.
 
+Each size also reports the wall time of building the runtime engine for the
+plan and of simulating one iteration, so the sweep covers the engine at
+1024 GPUs and beyond as well as the planner.
+
 Tagged ``scale`` and deliberately *not* ``smoke``: CI's perf-smoke job skips
 it, run it on demand with ``repro bench run --name planner_scalability``.
 """
+
+import time
 
 import pytest
 
@@ -21,6 +27,7 @@ from repro.baselines.spindle_system import SpindleSystem
 from repro.bench import informational, register_benchmark
 from repro.experiments.reporting import format_table
 from repro.experiments.workloads import clip_workload
+from repro.runtime.engine import RuntimeEngine
 
 #: Cluster sizes of the sweep (devices); the paper's grid ends at 64.
 SCALE_CLUSTER_SIZES = (16, 64, 256, 1024, 4096)
@@ -43,14 +50,28 @@ def bench_planner_scalability(ctx):
         system = SpindleSystem(ctx.cluster(workload))
         system.plan(ctx.tasks(workload))
         seconds = system.last_planning_seconds
-        metrics[f"planning_seconds_{workload.num_gpus}gpus"] = informational(
-            seconds, "s"
+        start = time.perf_counter()
+        engine = RuntimeEngine(system.last_plan)
+        build_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        engine.run_iteration()
+        simulate_seconds = time.perf_counter() - start
+        gpus = workload.num_gpus
+        metrics[f"planning_seconds_{gpus}gpus"] = informational(seconds, "s")
+        metrics[f"engine_build_seconds_{gpus}gpus"] = informational(build_seconds, "s")
+        metrics[f"simulate_seconds_{gpus}gpus"] = informational(simulate_seconds, "s")
+        rows.append(
+            [
+                f"{gpus}",
+                f"{seconds * 1e3:.0f} ms",
+                f"{build_seconds * 1e3:.1f} ms",
+                f"{simulate_seconds * 1e3:.1f} ms",
+            ]
         )
-        rows.append([f"{workload.num_gpus}", f"{seconds * 1e3:.0f} ms"])
     emit(
         "planner_scalability",
         format_table(
-            ["cluster size (GPUs)", "planning time"],
+            ["cluster size (GPUs)", "planning time", "engine build", "simulated iteration"],
             rows,
             title="Planner scalability sweep (Multitask-CLIP, 4 tasks)",
         ),

@@ -9,14 +9,17 @@ handful of dict writes under a lock, so the instrumented run must stay
 within 5% of the bare one (the committed baseline holds the measured
 ratio; the gate is the drift against it).
 
-Both sides are timed ``REPEATS`` times interleaved and compared min-to-min,
-which strips scheduler noise without hiding systematic overhead.  The
-correctness side rides along as hard invariants: the journal must account
-for every request (submitted *and* resolved), never drop an event, and the
-SLO window must have recorded exactly one sample per request.
+The ratio is the median of per-pair ratios over ``PAIRS`` pairs, each pair
+running the two sides back to back, alternating which runs first, so a slow
+stretch of the host lands on both sides of a pair instead of on one side's
+minimum.  The correctness side rides along as hard invariants: the journal
+must account for every request (submitted *and* resolved), never drop an
+event, and the SLO window must have recorded exactly one sample per request.
 """
 
-from bench_utils import emit
+from statistics import median
+
+from bench_utils import emit, paired_ratio_median
 
 from repro.bench import Metric, informational, invariant, register_benchmark
 from repro.experiments.harness import run_service_benchmark
@@ -27,7 +30,7 @@ from repro.obs import SloTracker, TelemetryJournal, attribution_report
 NUM_REQUESTS = 96
 NUM_UNIQUE = 6
 NUM_TENANTS = 3
-REPEATS = 5
+PAIRS = 11
 
 
 @register_benchmark(
@@ -42,9 +45,10 @@ def bench_telemetry_overhead(ctx):
     ctx.tasks(workload)  # record the workload fingerprint for the result
 
     def bare():
-        return run_service_benchmark(
+        result = run_service_benchmark(
             workload, num_requests=NUM_REQUESTS, num_unique=NUM_UNIQUE
         )
+        return result.service_seconds, None
 
     def instrumented():
         journal = TelemetryJournal()
@@ -57,19 +61,13 @@ def bench_telemetry_overhead(ctx):
             slo=slo,
             num_tenants=NUM_TENANTS,
         )
-        return result, journal, slo
+        return result.service_seconds, (journal, slo)
 
-    bare_seconds = []
-    instrumented_seconds = []
-    journal = slo = None
-    for _ in range(REPEATS):
-        bare_seconds.append(bare().service_seconds)
-        result, journal, slo = instrumented()
-        instrumented_seconds.append(result.service_seconds)
-
-    best_bare = min(bare_seconds)
-    best_instrumented = min(instrumented_seconds)
-    overhead = best_instrumented / best_bare if best_bare > 0 else 1.0
+    timing = paired_ratio_median(bare, instrumented, PAIRS)
+    journal, slo = timing.second
+    median_bare = median(timing.first_seconds)
+    median_instrumented = median(timing.second_seconds)
+    overhead = timing.ratio
 
     report = attribution_report(journal.events())
     emit(
@@ -77,8 +75,8 @@ def bench_telemetry_overhead(ctx):
         format_table(
             ["metric", "value"],
             [
-                ["bare service", f"{best_bare * 1e3:.2f} ms"],
-                ["instrumented service", f"{best_instrumented * 1e3:.2f} ms"],
+                ["bare service", f"{median_bare * 1e3:.2f} ms"],
+                ["instrumented service", f"{median_instrumented * 1e3:.2f} ms"],
                 ["overhead", f"{overhead:.3f}x"],
                 ["journal events", str(report["events"])],
                 [
@@ -107,7 +105,7 @@ def bench_telemetry_overhead(ctx):
         "journal_dropped": invariant(float(journal.dropped), ""),
         "slo_samples": invariant(float(slo_report.count), "req"),
         "slo_availability": invariant(slo_report.availability, "fraction"),
-        "bare_seconds": informational(best_bare, "s"),
-        "instrumented_seconds": informational(best_instrumented, "s"),
+        "bare_seconds": informational(median_bare, "s"),
+        "instrumented_seconds": informational(median_instrumented, "s"),
         "journal_events": informational(float(report["events"]), ""),
     }

@@ -16,7 +16,9 @@ Gated claims:
 * the measured single-event replan latency is a multiple of the full-replan
   reference at the largest benchmarked plan size — gated as a speedup ratio
   (machine speed cancels), with a generous threshold because both terms are
-  wall-clock.
+  wall-clock.  The ratio is the median of per-pair ratios over ``PAIRS``
+  pairs, each pair running the two modes back to back, alternating which
+  runs first, so a slow stretch of the host lands on both sides of a pair.
 
 The replan latencies land in the ``elastic.replan_seconds{policy=...}``
 histograms either way; the registry delta of the largest incremental run is
@@ -26,8 +28,9 @@ carries the histogram evidence next to the derived ratio.
 
 import dataclasses
 import json
+from statistics import median
 
-from bench_utils import emit
+from bench_utils import PairedRatio, emit, paired_ratio_median
 
 from repro.bench import Metric, informational, invariant, register_benchmark
 from repro.cluster.device import A800_SPEC
@@ -41,8 +44,8 @@ TOTAL_ITERATIONS = 200
 CHURN_AT = 100
 #: GPU counts benchmarked; the speedup gate applies to the largest.
 SIZES = (16, 32, 64)
-#: Best-of repetitions per (size, mode) measurement — wall-clock smoothing.
-REPEATS = 3
+#: Alternating (incremental, full) pairs per size.
+PAIRS = 11
 
 
 def _scenario(num_gpus: int) -> UnifiedScenario:
@@ -69,22 +72,29 @@ def _scenario(num_gpus: int) -> UnifiedScenario:
     )
 
 
-def _measure(num_gpus: int, incremental: bool):
-    """Best-of-``REPEATS`` run of one mode; returns (result, registry delta)."""
-    best = None
-    delta = None
+def _run(num_gpus: int, incremental: bool):
+    """One run of one mode; returns (replan seconds, (result, registry delta))."""
     metrics = get_metrics()
-    for _ in range(REPEATS):
-        before = metrics.snapshot()
-        result = UnifiedRunner(
-            _scenario(num_gpus),
-            policy=SlowdownThresholdPolicy(threshold=0.1),
-            incremental=incremental,
-        ).run()
-        if best is None or result.replan_measured_seconds < best.replan_measured_seconds:
-            best = result
-            delta = metrics.snapshot().diff(before)
-    return best, delta
+    before = metrics.snapshot()
+    result = UnifiedRunner(
+        _scenario(num_gpus),
+        policy=SlowdownThresholdPolicy(threshold=0.1),
+        incremental=incremental,
+    ).run()
+    return result.replan_measured_seconds, (result, metrics.snapshot().diff(before))
+
+
+def _measure(num_gpus: int) -> PairedRatio:
+    """``PAIRS`` alternating (incremental, full) pairs of runs.
+
+    The ratio is the median per-pair speedup, full over incremental replan
+    time; the payloads are the last runs' ``(result, registry delta)``.
+    """
+    return paired_ratio_median(
+        lambda: _run(num_gpus, incremental=True),
+        lambda: _run(num_gpus, incremental=False),
+        PAIRS,
+    )
 
 
 @register_benchmark(
@@ -97,17 +107,14 @@ def bench_unified_runtime(ctx):
     metrics: dict[str, Metric] = {}
     largest = SIZES[-1]
     for num_gpus in SIZES:
-        inc, inc_delta = _measure(num_gpus, incremental=True)
-        full, _ = _measure(num_gpus, incremental=False)
+        timing = _measure(num_gpus)
+        (inc, inc_delta), (full, _) = timing.first, timing.second
         assert json.dumps(inc.to_document(), sort_keys=True) == json.dumps(
             full.to_document(), sort_keys=True
         ), f"incremental and full reports diverged at {num_gpus} GPUs"
-        speedup = full.replan_measured_seconds / max(
-            inc.replan_measured_seconds, 1e-9
-        )
         gate = num_gpus == largest
         metrics[f"replan_speedup_{num_gpus}gpu"] = Metric(
-            speedup,
+            timing.ratio,
             "x",
             higher_is_better=True,
             # Generous: both terms are wall-clock; the committed baseline
@@ -119,10 +126,10 @@ def bench_unified_runtime(ctx):
             float(inc.levels_reused), "levels"
         )
         metrics[f"incremental_replan_ms_{num_gpus}gpu"] = informational(
-            inc.replan_measured_seconds * 1e3, "ms"
+            median(timing.first_seconds) * 1e3, "ms"
         )
         metrics[f"full_replan_ms_{num_gpus}gpu"] = informational(
-            full.replan_measured_seconds * 1e3, "ms"
+            median(timing.second_seconds) * 1e3, "ms"
         )
         if gate:
             metrics["replan_count"] = invariant(float(inc.replan_count), "replans")
@@ -138,8 +145,9 @@ def bench_unified_runtime(ctx):
 
 
 def test_unified_runtime_speedup(once_per_session_cache):
-    inc, _ = _measure(SIZES[-1], incremental=True)
-    full, _ = _measure(SIZES[-1], incremental=False)
+    timing = _measure(SIZES[-1])
+    (inc, _), (full, _) = timing.first, timing.second
+    speedup = timing.ratio
 
     assert json.dumps(inc.to_document(), sort_keys=True) == json.dumps(
         full.to_document(), sort_keys=True
@@ -153,7 +161,6 @@ def test_unified_runtime_speedup(once_per_session_cache):
     # ... which makes the single-event replan decisively faster.  The hard
     # 2x claim lives in the committed baseline; this assertion only guards
     # against the reuse path silently not engaging.
-    speedup = full.replan_measured_seconds / max(inc.replan_measured_seconds, 1e-9)
     assert speedup > 1.3
 
     emit(

@@ -15,7 +15,8 @@ here translate the harness's comparison objects into that metric schema.
 
 from __future__ import annotations
 
-from typing import Sequence
+from statistics import median
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.bench import Metric
 from repro.experiments.harness import ComparisonResult, run_comparison
@@ -100,3 +101,38 @@ def run_grid(
         workload.name: run_comparison(workload, systems=systems)
         for workload in workloads
     }
+
+
+class PairedRatio(NamedTuple):
+    """Timings of two sides measured by :func:`paired_ratio_median`."""
+
+    #: Median of the per-pair ``second / first`` seconds ratios.
+    ratio: float
+    first_seconds: list[float]
+    second_seconds: list[float]
+    #: The payload of each side's last run.
+    first: Any
+    second: Any
+
+
+def paired_ratio_median(
+    first: Callable[[], tuple[float, Any]],
+    second: Callable[[], tuple[float, Any]],
+    pairs: int,
+) -> PairedRatio:
+    """Time two sides in ``pairs`` back-to-back pairs, alternating which runs first.
+
+    Each side returns ``(seconds, payload)``.  A slow stretch of the host lands
+    on both sides of a pair, so the median of the per-pair ratios is steadier
+    than a ratio of per-side minima.
+    """
+    sides = (first, second)
+    seconds: tuple[list[float], list[float]] = ([], [])
+    payloads: list[Any] = [None, None]
+    ratios = []
+    for index in range(pairs):
+        for side in (0, 1) if index % 2 == 0 else (1, 0):
+            elapsed, payloads[side] = sides[side]()
+            seconds[side].append(elapsed)
+        ratios.append(seconds[1][-1] / max(seconds[0][-1], 1e-9))
+    return PairedRatio(median(ratios), seconds[0], seconds[1], payloads[0], payloads[1])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.cluster.device import A800_SPEC, Device, DeviceSpec
 
@@ -155,6 +155,13 @@ class ClusterTopology:
     _spec_classes: tuple[SpecClass, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
+    # Spec aggregates, computed once in __post_init__: the execution time
+    # model reads the cluster floor on every operator-time call.
+    _is_homogeneous: bool = field(init=False, repr=False, compare=False)
+    _totals: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    _min_achievable_flops: float = field(init=False, repr=False, compare=False)
+    _min_memory_bytes: float = field(init=False, repr=False, compare=False)
+    _max_peak_flops: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_nodes <= 0:
@@ -198,6 +205,35 @@ class ClusterTopology:
             groups[dev.node_id].append(dev.device_id)
         self._island_groups = groups
         self._node_ids = [dev.node_id for dev in self.devices]
+        self._compute_spec_aggregates()
+
+    def _compute_spec_aggregates(self) -> None:
+        spec = self.device_spec
+        if self.node_specs is None:
+            self._is_homogeneous = True
+            n = self.num_devices
+            self._totals = (
+                n * spec.peak_flops,
+                n * spec.memory_bytes,
+                n * spec.achievable_flops,
+            )
+            self._min_achievable_flops = spec.achievable_flops
+            self._min_memory_bytes = spec.memory_bytes
+            self._max_peak_flops = spec.peak_flops
+            return
+        specs = self.node_specs
+        self._is_homogeneous = all(node_spec == spec for node_spec in specs)
+        # Device by device, left to right from the integer 0: the sums (and,
+        # for integer specs, the types) the per-call scans produced.
+        peak = memory = achievable = 0
+        for dev in self.devices:
+            peak += dev.spec.peak_flops
+            memory += dev.spec.memory_bytes
+            achievable += dev.spec.achievable_flops
+        self._totals = (peak, memory, achievable)
+        self._min_achievable_flops = min(s.achievable_flops for s in specs)
+        self._min_memory_bytes = min(s.memory_bytes for s in specs)
+        self._max_peak_flops = max(s.peak_flops for s in specs)
 
     # ------------------------------------------------------------------ sizes
     @property
@@ -207,27 +243,19 @@ class ClusterTopology:
     @property
     def is_homogeneous(self) -> bool:
         """True when every device carries the same spec."""
-        if self.node_specs is None:
-            return True
-        return all(spec == self.device_spec for spec in self.node_specs)
+        return self._is_homogeneous
 
     @property
     def total_peak_flops(self) -> float:
-        if self.node_specs is None:
-            return self.num_devices * self.device_spec.peak_flops
-        return sum(dev.spec.peak_flops for dev in self.devices)
+        return self._totals[0]
 
     @property
     def total_memory_bytes(self) -> float:
-        if self.node_specs is None:
-            return self.num_devices * self.device_spec.memory_bytes
-        return sum(dev.spec.memory_bytes for dev in self.devices)
+        return self._totals[1]
 
     @property
     def total_achievable_flops(self) -> float:
-        if self.node_specs is None:
-            return self.num_devices * self.device_spec.achievable_flops
-        return sum(dev.spec.achievable_flops for dev in self.devices)
+        return self._totals[2]
 
     @property
     def min_achievable_flops(self) -> float:
@@ -237,23 +265,17 @@ class ClusterTopology:
         conservative planner paces every group on its slowest member; on a
         homogeneous cluster this equals ``device_spec.achievable_flops``.
         """
-        if self.node_specs is None:
-            return self.device_spec.achievable_flops
-        return min(spec.achievable_flops for spec in self.node_specs)
+        return self._min_achievable_flops
 
     @property
     def min_memory_bytes(self) -> float:
         """HBM capacity of the smallest device."""
-        if self.node_specs is None:
-            return self.device_spec.memory_bytes
-        return min(spec.memory_bytes for spec in self.node_specs)
+        return self._min_memory_bytes
 
     @property
     def max_peak_flops(self) -> float:
         """Peak FLOP/s of the fastest device (utilization-trace normalizer)."""
-        if self.node_specs is None:
-            return self.device_spec.peak_flops
-        return max(spec.peak_flops for spec in self.node_specs)
+        return self._max_peak_flops
 
     # ---------------------------------------------------------------- lookups
     def device(self, device_id: int) -> Device:
@@ -292,6 +314,17 @@ class ClusterTopology:
                 f"Device id {bad} out of range [0, {self.num_devices})"
             )
         return frozenset(map(node_ids.__getitem__, device_ids))
+
+    def islands_of_runs(self, runs: Iterable[tuple[int, int]]) -> frozenset[int]:
+        """The islands hosting the half-open runs ``[start, end)`` of ids.
+
+        Device ids are numbered island by island, so a run's islands are the
+        range from its first device's island to its last device's.
+        """
+        islands: set[int] = set()
+        for start, end in runs:
+            islands.update(range(self.island_of(start), self.island_of(end - 1) + 1))
+        return frozenset(islands)
 
     def islands(self) -> list[list[int]]:
         """Device ids grouped by island, in island order (copy, safe to edit)."""
@@ -408,12 +441,16 @@ class ClusterTopology:
         ids = list(device_ids)
         if not ids:
             raise TopologyError("Device group must not be empty")
-        if len(ids) == 1:
+        return self.collective_link(len(ids), len(self.islands_of(ids)))
+
+    def collective_link(self, num_devices: int, num_islands: int) -> InterconnectSpec:
+        """:meth:`group_bandwidth` of ``num_devices`` devices on ``num_islands``
+        islands, for callers that know both counts without the device ids."""
+        if num_devices == 1:
             return self.intra_device
-        islands = self.islands_of(ids)
-        if len(islands) == 1:
+        if num_islands == 1:
             return self.intra_island
-        devices_per_island = len(ids) / len(islands)
+        devices_per_island = num_devices / num_islands
         effective = min(
             self.intra_island.bandwidth,
             self.inter_island.bandwidth * max(1.0, devices_per_island),

@@ -18,15 +18,17 @@ ablation of Fig. 10.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
 from typing import Iterator, Sequence
 
 from repro.cluster.topology import ClusterTopology
-from repro.core.metagraph import MetaGraph
+from repro.core.metagraph import MetaGraph, MetaOp
 from repro.core.plan import PlacementResult, Wave, WaveEntry
 from repro.costmodel.comm import (
     DeviceGroup,
+    device_runs,
     group_link,
     group_transfer_time,
     link_transfer_time,
@@ -80,24 +82,109 @@ class _FreeLists:
             if island not in preferred and lists[island]:
                 yield lists[island]
 
-    def take(self, group: DeviceGroup) -> None:
+    def take(
+        self, cluster: ClusterTopology, group: DeviceGroup, runs: tuple[tuple[int, int], ...]
+    ) -> None:
+        """Take ``group``, whose runs of consecutive ids are ``runs``.
+
+        Every taken device was free, so a run empties the islands strictly
+        inside it and leaves a gap in the ascending lists of its end islands.
+        """
         members = group.members
         self.taken |= members
         self.num_free -= len(members)
-        for island in group.islands:
-            self.lists[island] = tuple(filterfalse(members.__contains__, self.lists[island]))
+        lists = self.lists
+        for start, end in runs:
+            first, last = cluster.island_of(start), cluster.island_of(end - 1)
+            lists[first + 1 : last] = [()] * max(0, last - first - 1)
+            for island in {first, last}:
+                devices = lists[island]
+                lo, hi = bisect_left(devices, start), bisect_left(devices, end)
+                lists[island] = devices[:lo] + devices[hi:]
+
+
+class _BlockMemory:
+    """Device memory kept per block of devices that share one history.
+
+    Blocks are ascending intervals of device ids, one per island at first.
+    Charging a placed group splits the blocks at the group's run boundaries,
+    so every device of a block has seen the same charges, holds the same
+    parameter keys and (blocks never leave their island) has one capacity.
+    """
+
+    def __init__(
+        self, cluster: ClusterTopology, islands: tuple[tuple[int, ...], ...], overhead: float
+    ) -> None:
+        self.num_devices = cluster.num_devices
+        self.starts = [devices[0] for devices in islands]
+        self.used = [overhead] * len(islands)
+        self.keys: list[frozenset[str]] = [frozenset()] * len(islands)
+        self.capacity = [cluster.spec_of(start).memory_bytes for start in self.starts]
+
+    def spans(self, runs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+        """Index ranges of the blocks each run of device ids intersects."""
+        starts = self.starts
+        return [(bisect_right(starts, start) - 1, bisect_left(starts, end)) for start, end in runs]
+
+    def peak(self, spans: list[tuple[int, int]]) -> float:
+        """The largest memory any device of the blocks in ``spans`` holds."""
+        used = self.used
+        return max(chain.from_iterable(used[i:j] for i, j in spans))
+
+    def fits(self, spans: list[tuple[int, int]], extra: float) -> bool:
+        """Whether every device of those blocks has room for ``extra`` bytes."""
+        used, capacity = self.used, self.capacity
+        return all(used[b] + extra <= capacity[b] for i, j in spans for b in range(i, j))
+
+    def _split(self, at: int) -> None:
+        if at >= self.num_devices:
+            return
+        i = bisect_right(self.starts, at) - 1
+        if self.starts[i] != at:
+            for column in (self.starts, self.used, self.keys, self.capacity):
+                column.insert(i + 1, column[i])
+            self.starts[i + 1] = at
+
+    def charge(
+        self,
+        runs: tuple[tuple[int, int], ...],
+        param_key: str | None,
+        param_bytes: float,
+        activation_bytes: float,
+    ) -> None:
+        """Charge a placed group: parameters on the blocks that do not hold
+        ``param_key`` yet (every block when it is ``None``), then activations."""
+        for start, end in runs:
+            self._split(start)
+            self._split(end)
+        used, keys, starts = self.used, self.keys, self.starts
+        for start, end in runs:
+            for b in range(bisect_left(starts, start), bisect_left(starts, end)):
+                if param_key is None:
+                    used[b] += param_bytes
+                elif param_key not in keys[b]:
+                    used[b] += param_bytes
+                    keys[b] = keys[b] | {param_key}
+                used[b] += activation_bytes
+
+    def per_device(self) -> dict[int, float]:
+        ends = self.starts[1:] + [self.num_devices]
+        blocks = zip(self.used, self.starts, ends)
+        memory = chain.from_iterable(repeat(used, end - start) for used, start, end in blocks)
+        return dict(enumerate(memory))
 
 
 class LocalityAwarePlacer:
     """Greedy, wave-by-wave locality- and memory-aware device placement.
 
     ``optimized`` (the default) forms each entry's candidates from per-island
-    free lists kept across a wave and scores them against each placed
-    group's member and island sets, so the cost follows the wave entries
-    rather than the device count.  ``optimized=False`` runs the reference
-    enumeration and scoring, which rescan every island and sort every free
-    device for each entry; it is kept so tests can prove both paths place
-    every entry identically.
+    free lists kept across a wave, scores them against each placed group's
+    member and island sets, and keeps device memory per block of devices
+    with one history, so the cost follows the wave entries rather than the
+    device count.  ``optimized=False`` runs the reference enumeration,
+    scoring and per-device memory accounting, which rescan every island and
+    sort every free device for each entry; it is kept so tests can prove
+    both paths place every entry identically.
     """
 
     def __init__(
@@ -133,43 +220,66 @@ class LocalityAwarePlacer:
 
     # ------------------------------------------------------------- public API
     def place(self, waves: Sequence[Wave], metagraph: MetaGraph) -> PlacementResult:
+        if not self.optimized:
+            return self._place_reference(waves, metagraph)
         result = PlacementResult()
-        memory = [self.memory_model.framework_overhead()] * self.cluster.num_devices
-        # Devices already holding each shared parameter key.
-        holders: dict[str, set[int]] = {}
+        memory = _BlockMemory(self.cluster, self._islands(), self.memory_model.framework_overhead())
         last: dict[int, DeviceGroup] = {}
+        # Per call: MetaGraph.predecessors scans every edge, and the memory
+        # model's byte counts depend only on the MetaOp and its device count.
+        preds: dict[int, list[tuple[int, float]]] = {i: [] for i in metagraph.metaops}
+        for (src, dst), volume in metagraph.edges.items():
+            preds[dst].append((src, volume))
+        byte_counts: dict[tuple[int, int], tuple[float, float]] = {}
+
+        def priority(entry: WaveEntry) -> float:
+            # _communication_priority, over the predecessor lists.
+            volume = 0.0
+            if entry.metaop_index in last:
+                metaop = metagraph.metaop(entry.metaop_index)
+                volume += metaop.representative.activation_bytes
+            for pred, edge_volume in preds[entry.metaop_index]:
+                if pred in last:
+                    volume += edge_volume
+            return volume
 
         for wave in waves:
-            if self.optimized:
-                free: _FreeLists | set[int] = _FreeLists(self._islands())
-            else:
-                free = set(range(self.cluster.num_devices))
-            entries = sorted(
-                wave.entries,
-                key=lambda e: self._communication_priority(e, metagraph, last),
-                reverse=True,
-            )
-            for entry in entries:
-                if self.optimized:
-                    group = self._place_entry(
-                        entry, wave, metagraph, free, memory, last, result
+            free = _FreeLists(self._islands())
+            for entry in sorted(wave.entries, key=priority, reverse=True):
+                metaop = metagraph.metaop(entry.metaop_index)
+                key = (entry.metaop_index, entry.n_devices)
+                counts = byte_counts.get(key)
+                if counts is None:
+                    op = metaop.representative
+                    counts = (
+                        self.memory_model.parameter_state_bytes(op, entry.n_devices),
+                        self.memory_model.activation_bytes(op, entry.n_devices),
                     )
-                    free.take(group)
-                else:
-                    group = DeviceGroup.of(
-                        self.cluster,
-                        self._place_entry_reference(
-                            entry, wave, metagraph, free, memory, last, result
-                        ),
-                    )
-                    free -= group.members
-                devices = group.devices
-                entry.devices = devices
-                result.assignments[(wave.index, entry.metaop_index)] = devices
+                    byte_counts[key] = counts
+                group, runs = self._place_entry(
+                    entry,
+                    wave,
+                    metaop,
+                    preds[entry.metaop_index],
+                    counts,
+                    free,
+                    memory,
+                    last,
+                    result,
+                )
+                free.take(self.cluster, group, runs)
+                entry.devices = group.devices
+                result.assignments[(wave.index, entry.metaop_index)] = group.devices
                 last[entry.metaop_index] = group
-                self._charge_memory(entry, devices, metagraph, memory, holders)
+                param_bytes, act_bytes = counts
+                memory.charge(
+                    runs,
+                    metaop.representative.param_key,
+                    param_bytes * entry.layers,
+                    act_bytes * entry.layers,
+                )
 
-        result.device_memory_bytes = dict(enumerate(memory))
+        result.device_memory_bytes = memory.per_device()
         return result
 
     # -------------------------------------------------------------- heuristics
@@ -228,20 +338,17 @@ class LocalityAwarePlacer:
         entry's placed neighbours (``sources``) hold, then each island with
         ``n`` free devices, then a spill over the islands in walk order.
         """
-        taken = free.taken
-        preferred_devices = dict.fromkeys(
-            chain.from_iterable(group.devices for group in sources)
+        preferred_free = filterfalse(
+            free.taken.__contains__,
+            dict.fromkeys(chain.from_iterable(group.devices for group in sources)),
         )
         allowed = pool.devices
-        if allowed is None:
-            preferred_free = [d for d in preferred_devices if d not in taken]
-        else:
-            preferred_free = [
-                d for d in preferred_devices if d in allowed and d not in taken
-            ]
+        if allowed is not None:
+            preferred_free = filter(allowed.__contains__, preferred_free)
         candidates: list[tuple[int, ...]] = []
-        if len(preferred_free) >= n:
-            candidates.append(tuple(preferred_free[:n]))
+        first = tuple(islice(preferred_free, n))
+        if len(first) == n:
+            candidates.append(first)
 
         preferred = frozenset().union(*(group.islands for group in sources))
         if allowed is not None:
@@ -262,28 +369,30 @@ class LocalityAwarePlacer:
         self,
         entry: WaveEntry,
         wave: Wave,
-        metagraph: MetaGraph,
+        metaop: MetaOp,
+        preds: list[tuple[int, float]],
+        byte_counts: tuple[float, float],
         free: _FreeLists,
-        memory: list[float],
+        memory: _BlockMemory,
         last: dict[int, DeviceGroup],
         result: PlacementResult,
-    ) -> DeviceGroup:
+    ) -> tuple[DeviceGroup, tuple[tuple[int, int], ...]]:
+        """The chosen group and its runs of consecutive device ids."""
         if free.num_free < entry.n_devices:
             raise PlacementError(
                 f"Wave {wave.index}: MetaOp {entry.metaop_index} needs "
                 f"{entry.n_devices} devices but only {free.num_free} are free"
             )
-        metaop = metagraph.metaop(entry.metaop_index)
         # Placed neighbours and the volume each sends: the previous slice of
         # the same MetaOp first, then the predecessors in graph order.
         sources: list[tuple[DeviceGroup, float]] = []
         prev = last.get(entry.metaop_index)
         if prev is not None:
             sources.append((prev, metaop.representative.activation_bytes))
-        for pred in metagraph.predecessors(entry.metaop_index):
+        for pred, volume in preds:
             group = last.get(pred)
             if group is not None:
-                sources.append((group, metagraph.edge_volume(pred, entry.metaop_index)))
+                sources.append((group, volume))
 
         candidates = self._candidates(
             entry.n_devices,
@@ -298,34 +407,38 @@ class LocalityAwarePlacer:
             )
 
         cluster = self.cluster
-        per_device_bytes = self._entry_device_bytes(entry, metaop)
+        param_bytes, act_bytes = byte_counts
+        # _entry_device_bytes, from the memoized counts.
+        per_device_bytes = (param_bytes + act_bytes) * entry.layers
         capacity = cluster.min_memory_bytes
-        scored: list[tuple[float, bool, float, DeviceGroup]] = []
+        scored: list[tuple[float, bool, float, DeviceGroup, tuple]] = []
         for devices in candidates:
-            target = DeviceGroup.of(cluster, devices)
+            runs = device_runs(devices)
+            # DeviceGroup.of, with the islands read per run.
+            target = DeviceGroup(devices, frozenset(devices), cluster.islands_of_runs(runs))
             comm = 0.0
             for source, volume in sources:
                 comm += link_transfer_time(
                     cluster, group_link(source, target), source, target, volume
                 )
+            spans = memory.spans(runs)
             # Float addition is monotonic, so this equals the largest
             # per-device projection.
-            peak = max(map(memory.__getitem__, devices)) + per_device_bytes
+            peak = memory.peak(spans) + per_device_bytes
             if self._homogeneous:
                 fits = peak <= capacity
             else:
-                fits = all(
-                    memory[d] + per_device_bytes <= cluster.spec_of(d).memory_bytes
-                    for d in devices
-                )
+                fits = memory.fits(spans, per_device_bytes)
             score = comm + self.memory_weight * (peak / capacity) * max(comm, 1e-6)
-            scored.append((score, fits, peak, target))
+            scored.append((score, fits, peak, target, runs))
 
         feasible = [item for item in scored if item[1]]
         if feasible:
-            return min(feasible, key=lambda item: item[0])[3]
-        self._record_oom(wave, entry, result)
-        return min(scored, key=lambda item: item[2])[3]
+            best = min(feasible, key=lambda item: item[0])
+        else:
+            self._record_oom(wave, entry, result)
+            best = min(scored, key=lambda item: item[2])
+        return best[3], best[4]
 
     def _record_oom(self, wave: Wave, entry: WaveEntry, result: PlacementResult) -> None:
         """All candidates would exceed memory: record the OOM; the caller picks
@@ -338,6 +451,35 @@ class LocalityAwarePlacer:
             )
 
     # ------------------------------------------------------ reference path
+    def _place_reference(self, waves: Sequence[Wave], metagraph: MetaGraph) -> PlacementResult:
+        result = PlacementResult()
+        memory = [self.memory_model.framework_overhead()] * self.cluster.num_devices
+        # Devices already holding each shared parameter key.
+        holders: dict[str, set[int]] = {}
+        last: dict[int, DeviceGroup] = {}
+
+        for wave in waves:
+            free = set(range(self.cluster.num_devices))
+            entries = sorted(
+                wave.entries,
+                key=lambda e: self._communication_priority(e, metagraph, last),
+                reverse=True,
+            )
+            for entry in entries:
+                group = DeviceGroup.of(
+                    self.cluster,
+                    self._place_entry_reference(entry, wave, metagraph, free, memory, last, result),
+                )
+                free -= group.members
+                devices = group.devices
+                entry.devices = devices
+                result.assignments[(wave.index, entry.metaop_index)] = devices
+                last[entry.metaop_index] = group
+                self._charge_memory_reference(entry, devices, metagraph, memory, holders)
+
+        result.device_memory_bytes = dict(enumerate(memory))
+        return result
+
     def _candidate_blocks_reference(
         self,
         entry: WaveEntry,
@@ -484,7 +626,7 @@ class LocalityAwarePlacer:
         per_layer = self.memory_model.operator_device_bytes(op, entry.n_devices)
         return per_layer * entry.layers
 
-    def _charge_memory(
+    def _charge_memory_reference(
         self,
         entry: WaveEntry,
         devices: tuple[int, ...],

@@ -18,6 +18,7 @@ the operator dependencies (§3.4, "Merging MetaLevels").
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -333,19 +334,27 @@ class WavefrontScheduler:
                 valid = self.allocation_grid.grid(
                     candidate.pending.metaop, budgets[pool]
                 )
-                larger = [
-                    n
-                    for n in valid
-                    if candidate.n_devices < n <= candidate.n_devices + idle[pool]
-                ]
-                if not larger:
+                new_n = self._extension_step(valid, candidate.n_devices, idle[pool])
+                if new_n is None:
                     continue
-                new_n = min(larger)
                 idle[pool] -= new_n - candidate.n_devices
                 candidate.n_devices = new_n
                 progress = True
                 if all(value <= 0 for value in idle.values()):
                     break
+
+    @staticmethod
+    def _extension_step(valid: Sequence[int], n: int, idle: int) -> int | None:
+        """The smallest valid allocation above ``n`` using at most ``idle``
+        more devices, or ``None``.
+
+        Grids are sorted and duplicate-free, so that allocation is the first
+        one past ``n`` or there is none.
+        """
+        index = bisect_right(valid, n)
+        if index < len(valid) and valid[index] <= n + idle:
+            return valid[index]
+        return None
 
     def _align_time_span(
         self, candidates: list[_Candidate]

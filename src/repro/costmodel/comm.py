@@ -49,6 +49,36 @@ class DeviceGroup:
         return cls(devices, frozenset(devices), cluster.islands_of(devices))
 
 
+def device_runs(devices: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Maximal runs of consecutive ids in a group of distinct device ids.
+
+    Returned as ascending half-open ``(start, end)`` pairs.  A placed group
+    is usually one run or a few, so after one sort each run's end is found
+    by bisection: over sorted distinct ids ``ordered[j] - j`` never
+    decreases, and it stays constant exactly along one run.
+    """
+    ordered = sorted(devices)
+    n = len(ordered)
+    if not n:
+        return ()
+    if ordered[-1] - ordered[0] == n - 1:
+        return ((ordered[0], ordered[-1] + 1),)
+    runs: list[tuple[int, int]] = []
+    i = 0
+    while i < n:
+        offset = ordered[i] - i
+        lo, hi = i, n - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if ordered[mid] - mid == offset:
+                lo = mid
+            else:
+                hi = mid - 1
+        runs.append((ordered[i], ordered[lo] + 1))
+        i = lo + 1
+    return tuple(runs)
+
+
 def group_link(src: DeviceGroup, dst: DeviceGroup) -> LinkClass:
     """Classify the slowest link a transfer between two device groups crosses."""
     if not src.members or not dst.members:

@@ -227,6 +227,12 @@ class ExecutionTimeModel:
             include_backward=include_backward,
             pacing_flops=pacing_flops,
         )
+        return self.achieved_flops_for_time(op, time, include_backward=include_backward)
+
+    def achieved_flops_for_time(
+        self, op: Operator, time: float, include_backward: bool = True
+    ) -> float:
+        """:meth:`achieved_flops_per_second` given the operator's ``time``."""
         multiplier = 1.0 + (self.config.backward_multiplier if include_backward else 0.0)
         if time <= 0:
             return 0.0

@@ -24,6 +24,7 @@ from functools import cached_property
 
 from repro.core.plan import ExecutionPlan
 from repro.costmodel.timing import ExecutionTimeModel, TimingModelConfig
+from repro.runtime.blocks import DeviceBlocks
 from repro.runtime.param_groups import ParameterDeviceGroupPool
 from repro.runtime.results import IterationResult, TrainingRunResult
 from repro.runtime.simulator import WaveExecutionSimulator
@@ -67,10 +68,13 @@ class RuntimeEngine:
     ) -> None:
         self.plan = plan
         self.timing_model = ExecutionTimeModel(plan.cluster, timing_config)
+        # One device partition for the transmissions and the parameter pool,
+        # whose critical paths the simulator accumulates per block.
+        blocks = DeviceBlocks.of_plan(plan)
         self._transmissions = build_transmissions(
-            plan, include_backward=include_backward_transmissions
+            plan, include_backward=include_backward_transmissions, blocks=blocks
         )
-        self._param_pool = ParameterDeviceGroupPool.from_plan(plan)
+        self._param_pool = ParameterDeviceGroupPool.from_plan(plan, blocks)
         self._simulator = WaveExecutionSimulator(
             plan=plan,
             timing_model=self.timing_model,

@@ -6,6 +6,12 @@ Spindle scans all devices to determine the device group of every parameter and
 maintains a global *parameter device group pool* ``{D_i -> {W_j}}``; after each
 iteration's backward pass, every parameter set is all-reduced within its device
 group.
+
+Every group is a union of the plan's device blocks
+(:mod:`repro.runtime.blocks`), so the pool unions entry blocks rather than
+device sets, and the synchronisation critical path accumulates per block: each
+device of a block sees the same groups, in sorted device-tuple order, as it
+would device by device.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
 from repro.costmodel.comm import ring_allreduce_time
+from repro.runtime.blocks import DeviceBlocks
 
 #: Fraction of gradient synchronisation hidden behind the backward pass.
 #: Frameworks bucket gradients and overlap their all-reduce with the remaining
@@ -40,29 +47,40 @@ class ParameterGroup:
         return self.group_size > 1 and self.total_bytes > 0
 
 
+#: A pool's groups, a device partition built for them and, parallel to the
+#: groups, the blocks each group covers.
+_Partition = tuple[tuple[ParameterGroup, ...], DeviceBlocks, list[tuple[int, ...]]]
+
+
 @dataclass
 class ParameterDeviceGroupPool:
     """The global pool ``{D_i -> {W_j}}`` of §3.6."""
 
     groups: list[ParameterGroup] = field(default_factory=list)
+    #: ``from_plan`` sets it from the plan's partition; ``sync_time``
+    #: rebuilds it from ``groups`` whenever they no longer match.
+    _partition: _Partition | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_plan(cls, plan: ExecutionPlan) -> "ParameterDeviceGroupPool":
-        """Scan the execution plan and build the parameter device group pool."""
+    def from_plan(
+        cls, plan: ExecutionPlan, blocks: DeviceBlocks | None = None
+    ) -> "ParameterDeviceGroupPool":
+        """Scan the execution plan and build the parameter device group pool.
+
+        ``blocks`` is the plan's device partition, built here when not given.
+        """
+        blocks = blocks or DeviceBlocks.of_plan(plan)
         # Each key's device set is the union of the groups of the entries
         # whose operators use it.  Keys are recorded against entry numbers;
-        # every distinct list of entries is unioned once, instead of adding an
-        # entry's devices to the pool again for each of its operators.
-        entry_devices: list[tuple[int, ...]] = []
+        # every distinct list of entries is unioned once, over blocks.
+        entry_blocks: list[tuple[int, ...]] = []
         key_entries: dict[str, list[int]] = {}
         key_bytes: dict[str, float] = {}
         for wave in plan.waves:
             for entry in wave.entries:
                 metaop = plan.metagraph.metaop(entry.metaop_index)
-                number = len(entry_devices)
-                entry_devices.append(
-                    plan.placement.devices_for(wave.index, entry.metaop_index)
-                )
+                number = len(entry_blocks)
+                entry_blocks.append(blocks.covers[(wave.index, entry.metaop_index)])
                 for op in metaop.operator_slice(entry.operator_offset, entry.layers):
                     if op.param_key is None or op.param_bytes == 0:
                         continue
@@ -81,21 +99,24 @@ class ParameterDeviceGroupPool:
             signature = tuple(numbers)
             group = unions.get(signature)
             if group is None:
-                group = tuple(
-                    sorted(set().union(*(entry_devices[n] for n in signature)))
-                )
+                group = tuple(sorted(set().union(*(entry_blocks[n] for n in signature))))
                 unions[signature] = group
             by_group.setdefault(group, []).append(key)
 
+        # Blocks are disjoint ascending intervals, so ascending block tuples
+        # sort exactly as the device tuples they expand to.
+        ordered = sorted(by_group.items())
         groups = [
             ParameterGroup(
-                devices=group,
+                devices=blocks.devices(group),
                 param_keys=tuple(sorted(keys)),
                 total_bytes=sum(key_bytes[k] for k in keys),
             )
-            for group, keys in sorted(by_group.items())
+            for group, keys in ordered
         ]
-        return cls(groups=groups)
+        pool = cls(groups=groups)
+        pool._partition = (tuple(groups), blocks, [group for group, _ in ordered])
+        return pool
 
     # ------------------------------------------------------------- accounting
     @property
@@ -123,15 +144,26 @@ class ParameterDeviceGroupPool:
         """
         if not 0.0 <= overlap_fraction < 1.0:
             raise ValueError("overlap_fraction must be in [0, 1)")
-        per_device: dict[int, float] = {}
-        for group in self.groups_needing_sync():
-            link = cluster.group_bandwidth(group.devices)
+        groups = tuple(self.groups)
+        if self._partition is None or self._partition[0] != groups:
+            built = DeviceBlocks(dict(enumerate(g.devices for g in groups)))
+            self._partition = (groups, built, list(built.covers.values()))
+        _, partition, group_blocks = self._partition
+        # Every device of a block sees the same groups in the same order, so
+        # the busiest block's sum is the busiest device's.
+        per_block: dict[int, float] = {}
+        for group, blocks in zip(groups, group_blocks, strict=True):
+            if not group.needs_sync:
+                continue
+            link = cluster.collective_link(
+                group.group_size, len(partition.islands(cluster, blocks))
+            )
             time = ring_allreduce_time(group.total_bytes, group.group_size, link)
-            for device in group.devices:
-                per_device[device] = per_device.get(device, 0.0) + time
-        if not per_device:
+            for block in blocks:
+                per_block[block] = per_block.get(block, 0.0) + time
+        if not per_block:
             return 0.0
-        return max(per_device.values()) * (1.0 - overlap_fraction)
+        return max(per_block.values()) * (1.0 - overlap_fraction)
 
     def group_for_key(self, param_key: str) -> ParameterGroup | None:
         for group in self.groups:

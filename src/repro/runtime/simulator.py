@@ -6,6 +6,11 @@ charging per-wave compute on the allocated device groups, inter-wave
 transmission at wave boundaries, and group-wise parameter synchronisation at
 the end of the iteration.  The same methodology backs the paper's own
 larger-scale simulations (Appendix E).
+
+The boundary and parameter-sync critical paths accumulate over the plan's
+device blocks (:mod:`repro.runtime.blocks`), not over devices: every device
+of a block sees the same additions in the same order, so each partial sum and
+each maximum is the per-device one, bit for bit.
 """
 
 from __future__ import annotations
@@ -108,14 +113,13 @@ class WaveExecutionSimulator:
                             if entry.spec_class is not None
                             else None
                         )
+                        op = metaop.representative
                         per_layer = self.timing_model.operator_time(
-                            metaop.representative, entry.n_devices, pacing_flops=pacing
+                            op, entry.n_devices, pacing_flops=pacing
                         )
                         entry_time = per_layer * entry.layers
                         compute_duration = max(compute_duration, entry_time)
-                        achieved = self.timing_model.achieved_flops_per_second(
-                            metaop.representative, entry.n_devices, pacing_flops=pacing
-                        )
+                        achieved = self.timing_model.achieved_flops_for_time(op, per_layer)
                         trace.add_block(
                             devices,
                             start=wave_start,
@@ -174,12 +178,15 @@ class WaveExecutionSimulator:
 
         Transfers between disjoint device pairs overlap; transfers sharing a
         device serialise on that device's link, so the boundary lasts as long
-        as the busiest device's accumulated transfer time.
+        as the busiest device's accumulated transfer time.  Every device of a
+        block takes part in the same transfers, in list order, so the busiest
+        block's sum is the busiest device's.
         """
-        per_device: dict[int, float] = {}
+        per_block: dict[int, float] = {}
         for t in transmissions:
-            for device in t.touched_devices:
-                per_device[device] = per_device.get(device, 0.0) + t.time_seconds
-        if not per_device:
+            time = t.time_seconds
+            for block in t.touched_blocks:
+                per_block[block] = per_block.get(block, 0.0) + time
+        if not per_block:
             return 0.0
-        return max(per_device.values())
+        return max(per_block.values())

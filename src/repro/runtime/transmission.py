@@ -9,12 +9,12 @@ exists precisely to keep the high-volume flows on the fast links (Fig. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
 from repro.costmodel.comm import DeviceGroup, LinkClass, group_link, link_transfer_time
+from repro.runtime.blocks import DeviceBlocks
 
 
 @dataclass(frozen=True)
@@ -29,25 +29,20 @@ class TransmissionOp:
     volume_bytes: float
     link: LinkClass
     time_seconds: float
+    #: The plan's device blocks this transfer occupies (senders and
+    #: receivers): what boundary critical-path accounting charges.
+    touched_blocks: frozenset[int] = field(repr=False, compare=False)
 
     @property
     def is_local(self) -> bool:
         return self.link is LinkClass.INTRA_DEVICE
-
-    @cached_property
-    def touched_devices(self) -> frozenset[int]:
-        """Every device this transfer occupies (senders and receivers).
-
-        Cached: the op is immutable, and boundary critical-path accounting
-        touches this set for every transmission of every simulated boundary.
-        """
-        return frozenset(self.src_devices) | frozenset(self.dst_devices)
 
 
 def build_transmissions(
     plan: ExecutionPlan,
     cluster: ClusterTopology | None = None,
     include_backward: bool = True,
+    blocks: DeviceBlocks | None = None,
 ) -> list[TransmissionOp]:
     """Derive all inter-wave transmissions required by an execution plan.
 
@@ -61,43 +56,50 @@ def build_transmissions(
 
     With ``include_backward`` (the default) each transfer is charged twice,
     once for forward activations and once for backward gradients.
+    ``blocks`` is the plan's device partition, built here when not given.
     """
     cluster = cluster or plan.cluster
+    blocks = blocks or DeviceBlocks.of_plan(plan)
     passes = 2.0 if include_backward else 1.0
     transmissions: list[TransmissionOp] = []
 
     # Wave entries of each MetaOp in execution order, each placed group's
-    # member and island sets built once for every transfer it takes part in.
-    slices: dict[int, list[tuple[int, DeviceGroup]]] = {}
+    # member and island sets built once for every transfer it takes part in;
+    # the islands are read per block, not per device.
+    slices: dict[int, list[tuple[int, DeviceGroup, tuple[int, ...]]]] = {}
     for wave in plan.waves:
         for entry in wave.entries:
-            devices = plan.placement.devices_for(wave.index, entry.metaop_index)
-            slices.setdefault(entry.metaop_index, []).append(
-                (wave.index, DeviceGroup.of(cluster, devices))
-            )
+            key = (wave.index, entry.metaop_index)
+            devices = plan.placement.devices_for(*key)
+            cover = blocks.covers[key]
+            group = DeviceGroup(devices, frozenset(devices), blocks.islands(cluster, cover))
+            slices.setdefault(entry.metaop_index, []).append((wave.index, group, cover))
 
     def add(
         boundary: int,
         src_meta: int,
         dst_meta: int,
-        src: DeviceGroup,
-        dst: DeviceGroup,
+        src: tuple[int, DeviceGroup, tuple[int, ...]],
+        dst: tuple[int, DeviceGroup, tuple[int, ...]],
         volume: float,
     ) -> None:
         if volume <= 0:
             return
-        link = group_link(src, dst)
-        time = passes * link_transfer_time(cluster, link, src, dst, volume)
+        _, src_group, src_blocks = src
+        _, dst_group, dst_blocks = dst
+        link = group_link(src_group, dst_group)
+        time = passes * link_transfer_time(cluster, link, src_group, dst_group, volume)
         transmissions.append(
             TransmissionOp(
                 boundary_after_wave=boundary,
                 src_metaop=src_meta,
                 dst_metaop=dst_meta,
-                src_devices=src.devices,
-                dst_devices=dst.devices,
+                src_devices=src_group.devices,
+                dst_devices=dst_group.devices,
                 volume_bytes=volume,
                 link=link,
                 time_seconds=time,
+                touched_blocks=frozenset(src_blocks).union(dst_blocks),
             )
         )
 
@@ -105,9 +107,9 @@ def build_transmissions(
     for metaop_index, entries in slices.items():
         metaop = plan.metagraph.metaop(metaop_index)
         residual_volume = metaop.representative.activation_bytes
-        for (src_wave, src), (_, dst) in zip(entries, entries[1:]):
+        for src, dst in zip(entries, entries[1:]):
             add(
-                boundary=src_wave,
+                boundary=src[0],
                 src_meta=metaop_index,
                 dst_meta=metaop_index,
                 src=src,
@@ -119,10 +121,10 @@ def build_transmissions(
     for (src_meta, dst_meta), volume in plan.metagraph.edges.items():
         if src_meta not in slices or dst_meta not in slices:
             continue
-        src_wave, src = slices[src_meta][-1]
-        _, dst = slices[dst_meta][0]
+        src = slices[src_meta][-1]
+        dst = slices[dst_meta][0]
         add(
-            boundary=src_wave,
+            boundary=src[0],
             src_meta=src_meta,
             dst_meta=dst_meta,
             src=src,

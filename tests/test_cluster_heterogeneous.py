@@ -205,3 +205,60 @@ class TestHeterogeneousPlanning:
         ).run_iteration()
         assert legacy_result.iteration_time > fast_result.iteration_time
         assert aware_result.iteration_time <= legacy_result.iteration_time
+
+
+class TestSpecAggregatesComputedOnce:
+    """The spec aggregates are computed at construction and equal the scans
+    the properties used to run on every call."""
+
+    @staticmethod
+    def scans(cluster):
+        spec = cluster.device_spec
+        if cluster.node_specs is None:
+            n = cluster.num_devices
+            return {
+                "is_homogeneous": True,
+                "total_peak_flops": n * spec.peak_flops,
+                "total_memory_bytes": n * spec.memory_bytes,
+                "total_achievable_flops": n * spec.achievable_flops,
+                "min_achievable_flops": spec.achievable_flops,
+                "min_memory_bytes": spec.memory_bytes,
+                "max_peak_flops": spec.peak_flops,
+            }
+        specs = cluster.node_specs
+        return {
+            "is_homogeneous": all(spec == cluster.device_spec for spec in specs),
+            "total_peak_flops": sum(d.spec.peak_flops for d in cluster.devices),
+            "total_memory_bytes": sum(d.spec.memory_bytes for d in cluster.devices),
+            "total_achievable_flops": sum(d.spec.achievable_flops for d in cluster.devices),
+            "min_achievable_flops": min(s.achievable_flops for s in specs),
+            "min_memory_bytes": min(s.memory_bytes for s in specs),
+            "max_peak_flops": max(s.peak_flops for s in specs),
+        }
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_heterogeneous_cluster(
+                [A800_SPEC, TEST_GPU_SPEC, A800_SPEC.degraded(0.5)], devices_per_node=4
+            ),
+            lambda: make_heterogeneous_cluster(
+                [A800_SPEC] * 5, devices_per_node=8, island_sizes=(8, 3, 8, 5, 1)
+            ),
+            lambda: make_heterogeneous_cluster([SMALL_MEMORY, A800_SPEC], island_sizes=(2, 7)),
+            lambda: make_cluster(64),
+        ],
+        ids=["mixed", "irregular", "mixed-irregular", "uniform"],
+    )
+    def test_each_value_equals_the_scan(self, make):
+        cluster = make()
+        for name, expected in self.scans(cluster).items():
+            value = getattr(cluster, name)
+            assert type(value) is type(expected), name
+            assert value == expected, name
+
+    def test_cached_values_stay_out_of_equality_and_repr(self):
+        assert make_cluster(16) == make_cluster(16)
+        a = make_heterogeneous_cluster([A800_SPEC, TEST_GPU_SPEC])
+        b = make_heterogeneous_cluster([A800_SPEC, TEST_GPU_SPEC])
+        assert a == b
