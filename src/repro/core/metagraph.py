@@ -105,10 +105,6 @@ class MetaOp:
         return sum(op.param_bytes for op in self.operators)
 
     @property
-    def output_activation_bytes(self) -> float:
-        return self.operators[-1].activation_bytes
-
-    @property
     def name(self) -> str:
         first, last = self.operators[0].name, self.operators[-1].name
         if first == last:

@@ -80,10 +80,6 @@ class WaveEntry:
         if self.duration < 0:
             raise PlanError("Wave entry duration must be non-negative")
 
-    @property
-    def is_placed(self) -> bool:
-        return len(self.devices) == self.n_devices
-
 
 @dataclass
 class Wave:
@@ -185,12 +181,6 @@ class PlacementResult:
             raise PlanError(
                 f"No placement for MetaOp {metaop_index} in wave {wave_index}"
             ) from exc
-
-    @property
-    def peak_memory_bytes(self) -> float:
-        if not self.device_memory_bytes:
-            return 0.0
-        return max(self.device_memory_bytes.values())
 
     def memory_imbalance(self) -> float:
         """Ratio of max to mean per-device memory (1.0 = perfectly balanced)."""

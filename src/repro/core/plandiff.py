@@ -118,10 +118,6 @@ class PlanDiff:
     full_structure: bool
     reusable_levels: Tuple[int, ...]
 
-    @property
-    def any_reuse(self) -> bool:
-        return self.full_structure or bool(self.reusable_levels)
-
 
 NO_REUSE = PlanDiff(full_structure=False, reusable_levels=())
 

@@ -175,10 +175,6 @@ class ElasticClusterView:
     def num_nodes(self) -> int:
         return len(self._nodes)
 
-    @property
-    def num_alive_devices(self) -> int:
-        return sum(node.num_alive for node in self._nodes.values())
-
     def node_ids(self) -> list[int]:
         return sorted(self._nodes)
 

@@ -428,7 +428,8 @@ def run_resilience_benchmark(
     The default policy retries one attempt past the profile's worst
     per-fault failure streak, disables the wall-clock-coupled knobs
     (deadline, breaker) so outcomes stay a pure function of the seed, and
-    leaves every degradation tier enabled; pass ``policy`` to override.
+    leaves the reference rung of the degradation ladder enabled; pass
+    ``policy`` to override.
 
     ``journal`` attaches a :class:`~repro.obs.TelemetryJournal` to the
     service (the service shares it with the injector and the cache, so fault

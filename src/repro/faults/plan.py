@@ -40,7 +40,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 
 def _hash_document(document: Any) -> str:
@@ -269,10 +269,6 @@ class FaultPlan:
         )
 
     # --------------------------------------------------------------- lookups
-    def events_for(self, index: int) -> Mapping[str, FaultEvent]:
-        """Request-scoped events scheduled for request ordinal ``index``."""
-        return self._by_request.get(index, {})
-
     def fail_attempts(self, index: int) -> int:
         """How many consecutive solve attempts of request ``index`` fail."""
         total = 0

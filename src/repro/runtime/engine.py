@@ -64,16 +64,13 @@ class RuntimeEngine:
         self,
         plan: ExecutionPlan,
         timing_config: TimingModelConfig | None = None,
-        include_backward_transmissions: bool = True,
     ) -> None:
         self.plan = plan
         self.timing_model = ExecutionTimeModel(plan.cluster, timing_config)
         # One device partition for the transmissions and the parameter pool,
         # whose critical paths the simulator accumulates per block.
         blocks = DeviceBlocks.of_plan(plan)
-        self._transmissions = build_transmissions(
-            plan, include_backward=include_backward_transmissions, blocks=blocks
-        )
+        self._transmissions = build_transmissions(plan, blocks=blocks)
         self._param_pool = ParameterDeviceGroupPool.from_plan(plan, blocks)
         self._simulator = WaveExecutionSimulator(
             plan=plan,

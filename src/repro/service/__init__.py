@@ -9,9 +9,8 @@ partitions.
 
 * :mod:`repro.service.fingerprint` — canonical, order/naming-insensitive
   content hashes of planning requests,
-* :mod:`repro.service.cache` — a thread-safe LRU+TTL plan cache serving
-  byte-identical serialized plans, with payload checksums and stale-entry
-  retention for the degradation ladder,
+* :mod:`repro.service.cache` — a thread-safe LRU plan cache serving
+  byte-identical serialized plans, with payload checksums,
 * :mod:`repro.service.server` — one plan-service shard: a bounded worker
   pool draining its queue in batches, single-flight deduplication and
   (opt-in) retries, deadlines, circuit breaking, load shedding and graceful
@@ -25,7 +24,8 @@ partitions.
   snapshots, per-entry checksums, quarantine) for warm starts; the cache's
   only persistence path,
 * :mod:`repro.service.incremental` — incremental re-planning that pools
-  per-MetaOp scalability curves across overlapping requests,
+  per-MetaOp scalability curves across overlapping requests (the unified
+  runner's planner; a service plans with an ``ExecutionPlanner``),
 * :mod:`repro.service.stats` — service-level throughput/latency/hit-rate
   accounting.
 """
@@ -58,9 +58,7 @@ from repro.service.resilience import (
     RESPONSE_SHED,
     TIER_CACHE,
     TIER_FRESH,
-    TIER_INCREMENTAL,
     TIER_REFERENCE,
-    TIER_STALE,
     CircuitBreaker,
     PlanResponse,
     ResiliencePolicy,
@@ -119,9 +117,7 @@ __all__ = [
     "StoreLoadResult",
     "TIER_CACHE",
     "TIER_FRESH",
-    "TIER_INCREMENTAL",
     "TIER_REFERENCE",
-    "TIER_STALE",
     "canonical_cluster",
     "canonical_graph",
     "canonical_task",

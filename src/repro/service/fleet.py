@@ -132,9 +132,6 @@ class PlanServiceFleet:
         parallel at construction — including partitions written under a
         *different* shard count, whose entries re-route to their current
         owners through the shared cache.
-    auto_compact_threshold:
-        Forwarded to each partition store: a load that quarantines at least
-        this many entries triggers an automatic snapshot compaction.
     journal / slo:
         Shared telemetry journal and SLO tracker.  Each shard additionally
         gets its own trace-ID namespace (``s<ordinal>``) and scope label
@@ -154,7 +151,6 @@ class PlanServiceFleet:
         max_batch_size: int = 8,
         resilience: ResiliencePolicy | None = None,
         store_dir: "str | Path | None" = None,
-        auto_compact_threshold: int | None = None,
         journal: TelemetryJournal | None = None,
         slo=None,
         trace_seed: int = 0,
@@ -180,10 +176,7 @@ class PlanServiceFleet:
         if store_dir is not None:
             self._store_dir = Path(store_dir)
             self.stores = [
-                PlanStore(
-                    self._store_dir / f"shard-{ordinal:02d}.json",
-                    auto_compact_threshold=auto_compact_threshold,
-                )
+                PlanStore(self._store_dir / f"shard-{ordinal:02d}.json")
                 for ordinal in range(num_shards)
             ]
         self.warm_started = 0

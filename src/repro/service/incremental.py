@@ -86,8 +86,7 @@ class IncrementalPlanner:
         :meth:`ExecutionPlanner.plan_incremental` so structurally unchanged
         MetaLevels (or whole plans) are adopted instead of re-solved.  Off by
         default: callers that never see perturbed resubmissions (one-shot
-        planning, the plan service's arbitrary request streams) should not
-        pay the retained-plan memory.
+        planning) should not pay the retained-plan memory.
     """
 
     def __init__(
@@ -108,15 +107,6 @@ class IncrementalPlanner:
         self._topology_signature = planner.cluster.signature()
 
     # ------------------------------------------------------------- public API
-    @property
-    def cluster(self):
-        """The bound planner's cluster (PlanService prototype interface)."""
-        return self.planner.cluster
-
-    def config_signature(self) -> dict:
-        """The bound planner's configuration (PlanService prototype interface)."""
-        return self.planner.config_signature()
-
     def plan(
         self,
         workload: PlannerInput,
@@ -126,8 +116,8 @@ class IncrementalPlanner:
         """Plan ``workload``, reusing pooled curves for known MetaOps.
 
         ``fingerprint`` skips re-deriving an already-computed canonical
-        fingerprint (the :class:`~repro.service.server.PlanService` workers
-        pass the one they keyed the request on).
+        fingerprint (the unified runner passes the one it keyed its plan
+        cache on).
         """
         if self.planner.cluster.signature() != self._topology_signature:
             raise StaleTopologyError(
@@ -167,13 +157,6 @@ class IncrementalPlanner:
     @property
     def num_pooled_curves(self) -> int:
         return len(self._curves)
-
-    @property
-    def has_retained_plan(self) -> bool:
-        """Whether a previous plan is retained for structural reuse
-        (``reuse_levels`` only; the service's incremental ladder tier keys
-        off this)."""
-        return self.reuse_levels and self._previous_plan is not None
 
     def clear(self) -> None:
         """Drop the pooled curves (e.g. after recalibrating the cost model).

@@ -5,7 +5,7 @@ mechanics live in :mod:`repro.service.server`):
 
 * :class:`ResiliencePolicy` — the knobs: per-request deadline, bounded retry
   with exponential backoff plus seeded jitter, circuit-breaker thresholds,
-  bounded-queue admission control, and the degradation ladder toggles.
+  bounded-queue admission control, and the reference-rung toggle.
 * :class:`CircuitBreaker` — a per-service (hence, in a
   :class:`~repro.service.fleet.PlanServiceFleet`, per-shard) closed → open →
   half-open breaker over consecutive solve failures.
@@ -32,14 +32,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.plan import ExecutionPlan
 
 #: Ladder tiers, best first.  ``cache`` and ``fresh`` resolve as ``served``;
-#: ``stale``, ``incremental`` and ``reference`` resolve as ``degraded``.
+#: ``reference`` resolves as ``degraded``.
 TIER_CACHE = "cache"
 TIER_FRESH = "fresh"
-TIER_STALE = "stale"
-TIER_INCREMENTAL = "incremental"
 TIER_REFERENCE = "reference"
 
-DEGRADED_TIERS = (TIER_STALE, TIER_INCREMENTAL, TIER_REFERENCE)
+DEGRADED_TIERS = (TIER_REFERENCE,)
 
 #: Per-request outcomes: every admitted or rejected request ends in exactly
 #: one of these.
@@ -52,12 +50,6 @@ RESPONSE_ERROR = "error"
 BREAKER_CLOSED = 0
 BREAKER_HALF_OPEN = 1
 BREAKER_OPEN = 2
-
-_BREAKER_STATE_NAMES = {
-    BREAKER_CLOSED: "closed",
-    BREAKER_HALF_OPEN: "half_open",
-    BREAKER_OPEN: "open",
-}
 
 
 @dataclass(frozen=True)
@@ -88,9 +80,11 @@ class ResiliencePolicy:
         requests are queued or in flight is shed immediately with
         :class:`~repro.service.server.ServiceOverloadError`.  ``None``
         disables shedding.
-    allow_stale / allow_incremental / allow_reference:
-        Degradation-ladder tiers (checked in this order after retries are
-        exhausted); disabling all three makes exhaustion a hard error.
+    allow_reference:
+        The degradation ladder's one rung: once retries are exhausted, solve
+        on the reference-path planner.  It applies only when the service's
+        planner has the reference planner's configuration; disabled or
+        inapplicable, exhaustion is a hard error.
     seed:
         Seed of the backoff-jitter stream.
     """
@@ -104,8 +98,6 @@ class ResiliencePolicy:
     breaker_failure_threshold: int = 5
     breaker_reset_seconds: float = 0.5
     max_queue_depth: int | None = None
-    allow_stale: bool = True
-    allow_incremental: bool = True
     allow_reference: bool = True
     seed: int = 0
 
@@ -177,10 +169,6 @@ class CircuitBreaker:
             self._maybe_half_open()
             return self._state
 
-    @property
-    def state_name(self) -> str:
-        return _BREAKER_STATE_NAMES[self.state]
-
     def allow(self) -> bool:
         """Whether a solve attempt may run now (disabled breakers always do)."""
         if self.failure_threshold == 0:
@@ -220,11 +208,10 @@ class CircuitBreaker:
 class PlanResponse:
     """How one request resolved: exactly one outcome, one serving tier.
 
-    ``plan`` is the live plan for every tier that produced one; the
-    stale-payload tier can serve ``payload`` only.  ``attempts`` counts solve
-    attempts actually started (0 for cache hits and sheds); ``retries`` is
-    ``max(attempts - 1, 0)`` plus ladder attempts.  ``error`` carries the
-    final error string for ``outcome == "error"``.
+    ``plan`` is the live plan for every tier that produced one.
+    ``attempts`` counts solve attempts actually started (0 for cache hits
+    and sheds).  ``error`` carries the final error string for
+    ``outcome == "error"``.
 
     ``trace_id`` is the deterministic request ID minted at submission (the
     key into the telemetry journal; coalesced followers keep their own IDs
@@ -238,7 +225,6 @@ class PlanResponse:
     tier: str | None
     fingerprint: str
     plan: "ExecutionPlan | None" = None
-    payload: str | None = None
     attempts: int = 0
     error: str | None = None
     trace_id: str | None = None

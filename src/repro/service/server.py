@@ -20,8 +20,8 @@ retried with seeded exponential backoff, a circuit breaker trips after
 consecutive failures, bounded-queue admission control sheds excess load
 explicitly, and exhausted requests walk a degradation ladder —
 
-    fresh cache hit → retry fresh solve → stale cache entry (flagged)
-    → incremental reuse → reference-path solve → ``ServiceError``
+    fresh cache hit → retry fresh solve → reference-path solve under the
+    service's own configuration → ``ServiceError``
 
 — so every admitted request resolves in exactly one outcome (``served`` /
 ``degraded`` / ``shed`` / ``error``); futures never hang, including across
@@ -63,7 +63,7 @@ from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Union
+from typing import Any, Callable, Mapping
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
@@ -88,17 +88,15 @@ from repro.obs.telemetry import (
 )
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import fingerprint_workload
-from repro.service.incremental import IncrementalPlanner
 from repro.service.resilience import (
+    DEGRADED_TIERS,
     RESPONSE_DEGRADED,
     RESPONSE_ERROR,
     RESPONSE_SERVED,
     RESPONSE_SHED,
     TIER_CACHE,
     TIER_FRESH,
-    TIER_INCREMENTAL,
     TIER_REFERENCE,
-    TIER_STALE,
     CircuitBreaker,
     PlanResponse,
     ResiliencePolicy,
@@ -111,11 +109,6 @@ from repro.service.stats import (
     OUTCOME_SHED,
     ServiceStats,
 )
-
-#: Planner prototypes a service can serve: a plain planner, an incremental
-#: (curve-pooling) wrapper, or a zero-argument factory of either.
-ServablePlanner = Union[ExecutionPlanner, IncrementalPlanner]
-PlannerOrFactory = Union[ServablePlanner, Callable[[], ServablePlanner]]
 
 _SHUTDOWN = object()
 
@@ -216,33 +209,31 @@ class PlanService:
     Parameters
     ----------
     planner:
-        Either a ready :class:`ExecutionPlanner` (or curve-pooling
-        :class:`~repro.service.incremental.IncrementalPlanner`) shared by all
-        workers, or a zero-argument factory; with a factory every worker
-        thread builds its own planner instance (useful when profiling noise
-        is enabled, since the synthetic profiler's RNG is per-planner).
+        Either a ready :class:`ExecutionPlanner` shared by all workers, or a
+        zero-argument factory of one; with a factory every worker thread
+        builds its own planner instance (useful when profiling noise is
+        enabled, since the synthetic profiler's RNG is per-planner).  The
+        service reads its cluster and configuration from this planner (the
+        factory's first product), its *prototype*.
     cache:
         Plan cache consulted before planning and populated after; a default
-        unbounded-TTL cache of 64 entries is created when omitted.  A fleet
-        passes every shard its one shared cache.
+        cache of 64 entries is created when omitted.  A fleet passes every
+        shard its one shared cache.
     num_workers:
         Size of the bounded worker pool.
     max_batch_size:
         Maximum number of queued requests one worker drains per wake-up.
     resilience:
         Optional :class:`ResiliencePolicy` enabling retries, deadlines, the
-        circuit breaker, admission control and the degradation ladder.
+        circuit breaker, admission control and the degradation ladder, whose
+        ``reference`` rung solves on ``ExecutionPlanner(cluster,
+        optimized=False)`` and applies only when the prototype has that
+        planner's configuration.
         Defaults to a stock policy whenever ``fault_injector`` is given
         (an injected fault campaign without recovery would be pointless).
     fault_injector:
         Optional :class:`~repro.faults.injection.FaultInjector` applying a
         deterministic fault schedule at the service's hook points.
-    reference_planner_factory:
-        Builds the planner of the last-resort ``reference`` ladder tier; by
-        default an ``ExecutionPlanner(cluster, optimized=False)`` on the
-        prototype's cluster.  Override it when the primary planner is
-        non-default-configured, so the reference tier plans under the same
-        configuration (and therefore the same fingerprints).
     journal:
         Optional :class:`~repro.obs.telemetry.TelemetryJournal`; when given,
         every request's lifecycle is journaled (see the module docstring).
@@ -263,7 +254,7 @@ class PlanService:
 
     def __init__(
         self,
-        planner: PlannerOrFactory,
+        planner: ExecutionPlanner | Callable[[], ExecutionPlanner],
         *,
         cache: PlanCache | None = None,
         stats: ServiceStats | None = None,
@@ -271,7 +262,6 @@ class PlanService:
         max_batch_size: int = 8,
         resilience: ResiliencePolicy | None = None,
         fault_injector=None,
-        reference_planner_factory: Callable[[], ExecutionPlanner] | None = None,
         journal: TelemetryJournal | None = None,
         slo=None,
         trace_ids: TraceIdGenerator | None = None,
@@ -282,18 +272,15 @@ class PlanService:
             raise ServiceError("num_workers must be positive")
         if max_batch_size <= 0:
             raise ServiceError("max_batch_size must be positive")
-        if callable(planner) and not isinstance(
-            planner, (ExecutionPlanner, IncrementalPlanner)
-        ):
-            self._planner_factory: Callable[[], ServablePlanner] = planner
+        if callable(planner) and not isinstance(planner, ExecutionPlanner):
+            self._planner_factory: Callable[[], ExecutionPlanner] = planner
             self._prototype = planner()
         else:
             self._planner_factory = lambda: planner  # type: ignore[return-value]
             self._prototype = planner
-        if not isinstance(self._prototype, (ExecutionPlanner, IncrementalPlanner)):
+        if not isinstance(self._prototype, ExecutionPlanner):
             raise ServiceError(
-                "planner must be an ExecutionPlanner, an IncrementalPlanner "
-                "or a factory of either"
+                "planner must be an ExecutionPlanner or a factory of one"
             )
         self.cache = cache if cache is not None else PlanCache(capacity=64)
         self.stats = stats if stats is not None else ServiceStats()
@@ -315,8 +302,7 @@ class PlanService:
                 self.cache.journal = journal
             if self.injector is not NULL_INJECTOR and self.injector.journal is None:
                 self.injector.journal = journal
-        self._reference_planner_factory = reference_planner_factory
-        self._reference_planner: ExecutionPlanner | None = None
+        self._reference: ExecutionPlanner | None = None
         self._reference_lock = threading.Lock()
         self._topology_label = (
             label if label is not None else self._prototype.cluster.signature()[:12]
@@ -831,7 +817,7 @@ class PlanService:
         tier: str,
         attempts: int,
     ) -> None:
-        degraded = tier in (TIER_STALE, TIER_INCREMENTAL, TIER_REFERENCE)
+        degraded = tier in DEGRADED_TIERS
         outcome = OUTCOME_DEGRADED if degraded else OUTCOME_MISS
         response_outcome = RESPONSE_DEGRADED if degraded else RESPONSE_SERVED
         if degraded:
@@ -895,7 +881,7 @@ class PlanService:
 
     # ----------------------------------------------------------------- solving
     def _serve_group(
-        self, planner: ServablePlanner, fp: str, requests: list[_Request]
+        self, planner: ExecutionPlanner, fp: str, requests: list[_Request]
     ) -> None:
         """Serve one fingerprint group: retries, then the degradation ladder.
 
@@ -982,11 +968,10 @@ class PlanService:
                 self.cache.corrupt(fp)
             self._resolve_group(requests, plan, TIER_FRESH, attempts=attempt + 1)
             return
-        self._degrade_group(planner, fp, requests, last_error, attempt)
+        self._degrade_group(fp, requests, last_error, attempt)
 
     def _degrade_group(
         self,
-        planner: ServablePlanner,
         fp: str,
         requests: list[_Request],
         last_error: Exception | None,
@@ -1004,33 +989,8 @@ class PlanService:
             for request in requests:
                 self._fail_request(request, error, attempts=attempts)
             return
-        if policy is not None and policy.allow_stale:
-            stale = self.cache.get_stale(fp)
-            if stale is not None and stale[0] is not None:
-                self._resolve_group(requests, stale[0], TIER_STALE, attempts)
-                return
-        if (
-            policy is not None
-            and policy.allow_incremental
-            and isinstance(planner, IncrementalPlanner)
-            and planner.has_retained_plan
-        ):
-            try:
-                with tracer.span(
-                    "service.solve",
-                    category="service",
-                    fingerprint=fp[:12],
-                    tier=TIER_INCREMENTAL,
-                    trace_id=requests[0].trace_id,
-                ):
-                    plan = planner.plan(requests[0].workload, fingerprint=fp)
-            except Exception as exc:  # noqa: BLE001 - last tier still pending
-                last_error = exc
-            else:
-                self.cache.put(fp, plan)
-                self._resolve_group(requests, plan, TIER_INCREMENTAL, attempts)
-                return
-        if policy is not None and policy.allow_reference:
+        reference = self._reference_planner() if policy.allow_reference else None
+        if reference is not None:
             try:
                 with tracer.span(
                     "service.solve",
@@ -1039,7 +999,7 @@ class PlanService:
                     tier=TIER_REFERENCE,
                     trace_id=requests[0].trace_id,
                 ):
-                    plan = self._reference_plan(requests[0].workload, fp)
+                    plan = reference.plan(requests[0].workload, fingerprint=fp)
             except Exception as exc:  # noqa: BLE001 - ladder exhausted
                 last_error = exc
             else:
@@ -1054,16 +1014,17 @@ class PlanService:
         for request in requests:
             self._fail_request(request, error, attempts=attempts)
 
-    def _reference_plan(self, workload: PlannerInput, fp: str) -> ExecutionPlan:
-        """Last-resort solve on the reference-path planner (built lazily)."""
+    def _reference_planner(self) -> ExecutionPlanner | None:
+        """The reference rung's planner (built lazily), or ``None`` when the
+        rung does not apply: a prototype of another configuration fingerprints
+        its requests for plans the reference planner would not produce."""
         with self._reference_lock:
-            if self._reference_planner is None:
-                if self._reference_planner_factory is not None:
-                    self._reference_planner = self._reference_planner_factory()
-                else:
-                    self._reference_planner = ExecutionPlanner(
-                        self._prototype.cluster, optimized=False
-                    )
-            reference = self._reference_planner
-        return reference.plan(workload, fingerprint=fp)
+            if self._reference is None:
+                self._reference = ExecutionPlanner(
+                    self._prototype.cluster, optimized=False
+                )
+            reference = self._reference
+        if reference.config_signature() != self._fingerprints.config_signature:
+            return None
+        return reference
 

@@ -22,9 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 #: Request outcomes recorded by the plan service.  ``degraded`` marks
-#: requests served through a degradation-ladder tier (stale / incremental /
-#: reference) after fresh planning failed; ``shed`` marks requests rejected
-#: by bounded-queue admission control.
+#: requests served through the degradation ladder's reference tier after
+#: fresh planning failed; ``shed`` marks requests rejected by bounded-queue
+#: admission control.
 OUTCOME_HIT = "hit"
 OUTCOME_MISS = "miss"
 OUTCOME_COALESCED = "coalesced"

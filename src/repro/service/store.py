@@ -16,22 +16,15 @@ guarantees:
 * **Quarantine, not failure** — a corrupt entry (checksum mismatch,
   non-string payload) is quarantined (recorded with its reason, counted as
   ``service.store{event=quarantined}``) while every intact entry still
-  loads.  Only an unreadable/unparseable snapshot raises
-  :class:`StoreError`.
+  loads.  Quarantined entries never enter the cache, so the next save
+  writes a snapshot without them.  Only an unreadable/unparseable snapshot,
+  or one of any version but 2, raises :class:`StoreError`.
 
 Format v2 (one JSON document)::
 
     {"format_version": 2,
      "entry_count": N,
      "entries": {fingerprint: {"payload": str, "checksum": sha256}}}
-
-Legacy v1 snapshots, written by the plan cache before this store existed,
-map fingerprints straight to payloads without checksums::
-
-    {"format_version": 1, "entries": {fingerprint: payload}}
-
-They load with verification skipped; :meth:`PlanStore.compact` rewrites them
-as v2.
 
 Fault injection: pass a :class:`~repro.faults.injection.FaultInjector` and
 every save first consults :meth:`~repro.faults.injection.FaultInjector.on_persist`,
@@ -49,8 +42,6 @@ from pathlib import Path
 from repro.obs import get_metrics
 from repro.service.cache import PlanCache, payload_checksum
 
-#: Version tag of the legacy, unchecksummed snapshot format (read only).
-CACHE_SNAPSHOT_VERSION = 1
 #: Version tag of the checksummed store snapshot format.
 STORE_FORMAT_VERSION = 2
 
@@ -82,22 +73,11 @@ class PlanStore:
     injector:
         Optional fault injector consulted once per save
         (``persist_error`` faults abort the save before the atomic rename).
-    auto_compact_threshold:
-        When a load quarantines at least this many entries, the snapshot is
-        automatically compacted (rewritten without the dead entries) right
-        after the load.  ``None`` (default) disables auto-compaction.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        injector=None,
-        auto_compact_threshold: int | None = None,
-    ) -> None:
+    def __init__(self, path: str | Path, *, injector=None) -> None:
         self.path = Path(path)
         self.injector = injector
-        self.auto_compact_threshold = auto_compact_threshold
         #: Quarantine log of the most recent load (fingerprint -> reason).
         self.quarantined: dict[str, str] = {}
 
@@ -105,7 +85,7 @@ class PlanStore:
     def save(
         self, cache: PlanCache, *, fingerprints: "list[str] | None" = None
     ) -> Path:
-        """Atomically snapshot ``cache``'s payloads (fresh entries only).
+        """Atomically snapshot ``cache``'s payloads.
 
         With ``fingerprints``, only those entries are written — the
         partitioned-save path used by fleet shards, where each store owns
@@ -124,7 +104,7 @@ class PlanStore:
         for fingerprint in selection:
             payload = cache.get_payload(fingerprint)
             if payload is None:
-                continue  # expired or quarantined between listing and read
+                continue  # evicted or quarantined between listing and read
             entries[fingerprint] = {
                 "payload": payload,
                 "checksum": payload_checksum(payload),
@@ -134,82 +114,30 @@ class PlanStore:
             "entry_count": len(entries),
             "entries": entries,
         }
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(self.path.name + ".tmp")
         if self.injector is not None:
             # The injected fault models a crash mid-write: the temp file may
             # exist (partially written) but the snapshot must stay intact.
             try:
                 self.injector.on_persist()
             except Exception:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = self.path.with_name(self.path.name + ".tmp")
                 tmp.write_text('{"torn": ', encoding="utf-8")
                 raise
-        self._write_snapshot(document)
-        get_metrics().inc("service.store", event="saved")
-        return self.path
-
-    def _write_snapshot(self, document: dict) -> None:
-        """Durably write ``document`` as the snapshot: tmp + fsync + rename."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(document))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-
-    # --------------------------------------------------------------- compact
-    def compact(self) -> int:
-        """Rewrite the snapshot keeping only intact entries.
-
-        Dead weight — entries that fail checksum/structure verification, a
-        stale ``entry_count``, or legacy v1 framing — is dropped and the
-        survivors are rewritten as a fresh v2 snapshot (legacy payloads gain
-        checksums).  Returns how many entries were dropped.  A missing
-        snapshot is a no-op.
-        """
-        if not self.path.is_file():
-            return 0
-        try:
-            snapshot = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(f"Unreadable plan-store snapshot {self.path}: {exc}")
-        raw = snapshot.get("entries")
-        if not isinstance(raw, dict):
-            raise StoreError(f"Snapshot {self.path} is missing its 'entries' mapping")
-        legacy = snapshot.get("format_version") == CACHE_SNAPSHOT_VERSION
-        entries: dict[str, dict[str, str]] = {}
-        dropped = 0
-        for fingerprint, record in raw.items():
-            if legacy:
-                record = (
-                    {"payload": record, "checksum": payload_checksum(record)}
-                    if isinstance(record, str)
-                    else record
-                )
-            if self._verify(record) is not None:
-                dropped += 1
-                continue
-            entries[fingerprint] = {
-                "payload": record["payload"],
-                "checksum": record["checksum"],
-            }
-        self._write_snapshot(
-            {
-                "format_version": STORE_FORMAT_VERSION,
-                "entry_count": len(entries),
-                "entries": entries,
-            }
-        )
-        get_metrics().inc("service.store", event="compacted")
-        return dropped
+        get_metrics().inc("service.store", event="saved")
+        return self.path
 
     # ------------------------------------------------------------------ load
     def load_into(self, cache: PlanCache) -> StoreLoadResult:
         """Load the snapshot into ``cache``; quarantine corrupt entries.
 
         Intact entries land as payload-only cache entries (served by
-        ``get_payload``/``get_stale``; ``get`` still misses).  Returns how
+        ``get_payload``; ``get`` still misses).  Returns how
         many loaded and what was quarantined; a missing snapshot file loads
         nothing.
         """
@@ -221,8 +149,6 @@ class PlanStore:
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreError(f"Unreadable plan-store snapshot {self.path}: {exc}")
         version = snapshot.get("format_version")
-        if version == CACHE_SNAPSHOT_VERSION:
-            return self._load_v1(snapshot, cache, result)
         if version != STORE_FORMAT_VERSION:
             raise StoreError(
                 f"Unsupported plan-store snapshot version {version!r} "
@@ -250,13 +176,7 @@ class PlanStore:
             result.loaded += 1
         self.quarantined = dict(result.quarantined)
         metrics.inc("service.store", event="loaded")
-        self._maybe_auto_compact(result)
         return result
-
-    def _maybe_auto_compact(self, result: StoreLoadResult) -> None:
-        threshold = self.auto_compact_threshold
-        if threshold is not None and len(result.quarantined) >= threshold:
-            self.compact()
 
     @staticmethod
     def _verify(record: object) -> str | None:
@@ -276,20 +196,3 @@ class PlanStore:
         except json.JSONDecodeError:
             return "payload is not valid JSON"
         return None
-
-    def _load_v1(
-        self, snapshot: dict, cache: PlanCache, result: StoreLoadResult
-    ) -> StoreLoadResult:
-        """Legacy v1 snapshots: no checksums to verify."""
-        entries = snapshot.get("entries")
-        if not isinstance(entries, dict):
-            raise StoreError(f"Snapshot {self.path} is missing its 'entries' mapping")
-        for fingerprint, payload in entries.items():
-            if not isinstance(payload, str):
-                result.quarantined[fingerprint] = "payload is not a string"
-                continue
-            cache.put_payload(fingerprint, payload, checksum=None)
-            result.loaded += 1
-        self.quarantined = dict(result.quarantined)
-        self._maybe_auto_compact(result)
-        return result

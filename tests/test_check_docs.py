@@ -175,6 +175,57 @@ def test_fenced_code_spans_are_not_name_checked(check_docs, tmp_path):
     assert ":11: `MyPlanner` names nothing defined under src/" in problems[0]
 
 
+def test_docstring_role_naming_a_missing_member_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(tmp_path, "README.md", "# Title\n")
+    _page(
+        tmp_path,
+        "src/repro/notes.py",
+        '"""Use :meth:`PlanCache.get` via :class:`~repro.service.\n'
+        '    PlanStore`, not :meth:`PlanStore.compact`; see\n'
+        ':func:`random.shuffle` and :data:`CacheKey`."""\n',
+    )
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert len(problems) == 1
+    assert "notes.py:2: ':meth:`PlanStore.compact`' names nothing" in problems[0]
+
+
+def test_docstring_role_naming_an_unknown_repro_path_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(tmp_path, "README.md", "# Title\n")
+    _page(
+        tmp_path,
+        "src/repro/notes.py",
+        '"""See :mod:`repro.service` and :class:`repro.service.PlanCache`;\n'
+        ':mod:`repro.gone`, :class:`repro.service.Gone` and\n'
+        ':meth:`repro.service.PlanCache.put` are stale."""\n',
+    )
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert [p.split(": ", 1)[1].split(" names ")[0] for p in problems] == [
+        "':mod:`repro.gone`'",
+        "':class:`repro.service.Gone`'",
+        "':meth:`repro.service.PlanCache.put`'",
+    ]
+    assert [p.split(": ", 1)[0].rsplit(":", 1)[1] for p in problems] == [
+        "2",
+        "2",
+        "3",
+    ]
+
+
+def test_docstring_role_naming_an_unknown_bare_name_fails(check_docs, tmp_path):
+    _source_tree(tmp_path)
+    _page(tmp_path, "README.md", "# Title\n")
+    _page(
+        tmp_path,
+        "src/repro/notes.py",
+        '"""Reads :attr:`capacity` through :func:`plan_everything`."""\n',
+    )
+    problems = check_docs.check_pages(check_docs.default_targets(tmp_path), tmp_path)
+    assert len(problems) == 1
+    assert "notes.py:1: ':func:`plan_everything`' names nothing" in problems[0]
+
+
 def test_unknown_module_path_fails(check_docs, tmp_path):
     _source_tree(tmp_path)
     _page(

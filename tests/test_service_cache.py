@@ -1,24 +1,15 @@
-"""Tests for the fingerprint-keyed LRU+TTL plan cache."""
+"""Tests for the fingerprint-keyed LRU plan cache."""
+
+import json
+import time
 
 import pytest
 
 from repro.cluster.topology import make_cluster
 from repro.core.planner import ExecutionPlanner
 from repro.core.serialization import plan_to_json, validate_plan_document
-from repro.service.cache import CacheError, PlanCache
-
-import json
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.obs.telemetry import TelemetryJournal
+from repro.service.cache import CacheError, PlanCache, payload_checksum
 
 
 @pytest.fixture
@@ -56,8 +47,6 @@ class TestBasicOperations:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(CacheError):
             PlanCache(capacity=0)
-        with pytest.raises(CacheError):
-            PlanCache(ttl_seconds=0.0)
 
 
 class TestEviction:
@@ -81,34 +70,52 @@ class TestEviction:
         assert cache.stats.evictions == 0
 
 
-class TestTTL:
-    def test_entries_expire(self, plan):
-        clock = FakeClock()
-        cache = PlanCache(ttl_seconds=10.0, clock=clock)
+class TestNoExpiry:
+    def test_entries_never_expire(self, plan, monkeypatch):
+        """Planning is a pure function of its inputs, so a cached plan never
+        goes out of date: only eviction or invalidation removes it."""
+        cache = PlanCache()
         cache.put("a", plan)
-        clock.advance(9.0)
+        payload = cache.get_payload("a")
+        monkeypatch.setattr(time, "monotonic", lambda: 1e12)
+        monkeypatch.setattr(time, "time", lambda: 1e12)
         assert cache.get("a") is plan
-        clock.advance(2.0)
-        assert cache.get("a") is None
-        assert cache.stats.expirations == 1
+        assert cache.get_payload("a") == payload
+        assert "a" in cache
 
-    def test_purge_expired(self, plan):
-        clock = FakeClock()
-        cache = PlanCache(ttl_seconds=5.0, clock=clock)
-        cache.put("a", plan)
-        cache.put("b", plan)
-        clock.advance(6.0)
-        cache.put("c", plan)
-        assert cache.purge_expired() == 2
-        assert cache.fingerprints() == ["c"]
 
-    def test_no_ttl_never_expires(self, plan):
-        clock = FakeClock()
-        cache = PlanCache(clock=clock)
+class TestIntegrity:
+    def test_corrupted_payload_is_quarantined(self, plan):
+        cache = PlanCache()
         cache.put("a", plan)
-        clock.advance(1e9)
-        assert cache.get("a") is plan
-        assert cache.purge_expired() == 0
+        assert cache.get_payload("a") is not None
+        assert cache.corrupt("a")
+        assert cache.get_payload("a") is None
+        assert "a" not in cache
+        # The detecting access is re-counted as a miss, so it counts once.
+        assert cache.stats.corruptions == 1
+        assert (cache.stats.hits, cache.stats.misses) == (1, 1)
+
+    def test_quarantine_is_journaled(self, plan):
+        journal = TelemetryJournal()
+        cache = PlanCache(journal=journal)
+        cache.put("a", plan)
+        cache.corrupt("a")
+        assert cache.get_payload("a") is None
+        assert [
+            (event["kind"], event["trace_id"], event["fingerprint"])
+            for event in journal.events()
+        ] == [("cache.quarantined", None, "a")]
+
+    def test_restored_payload_is_verified_against_its_checksum(self, plan):
+        payload = plan_to_json(plan)
+        cache = PlanCache()
+        cache.put_payload("good", payload, payload_checksum(payload))
+        cache.put_payload("bad", payload, payload_checksum(payload + " "))
+        assert cache.get_payload("good") == payload
+        assert cache.get_payload("bad") is None
+        assert cache.stats.corruptions == 1
+        assert cache.fingerprints() == ["good"]
 
 
 class TestStats:
@@ -122,3 +129,18 @@ class TestStats:
         assert cache.stats.misses == 1
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
         assert cache.stats.as_dict()["puts"] == 1
+
+    def test_as_dict_reports_every_counter(self, plan):
+        cache = PlanCache(capacity=1)
+        cache.put("a", plan)
+        cache.put("b", plan)
+        cache.get("b")
+        cache.get("a")
+        assert cache.stats.as_dict() == {
+            "hits": 1,
+            "misses": 1,
+            "puts": 2,
+            "evictions": 1,
+            "corruptions": 0,
+            "hit_rate": 0.5,
+        }

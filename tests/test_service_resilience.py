@@ -20,10 +20,7 @@ from repro.service import (
     TIER_CACHE,
     TIER_FRESH,
     TIER_REFERENCE,
-    TIER_STALE,
     CircuitBreaker,
-    IncrementalPlanner,
-    PlanCache,
     PlanResponse,
     PlanService,
     PlanServiceFleet,
@@ -143,7 +140,7 @@ class TestPlanResponse:
     def test_outcome_properties(self):
         served = PlanResponse(outcome=RESPONSE_SERVED, tier=TIER_FRESH, fingerprint="f")
         degraded = PlanResponse(
-            outcome=RESPONSE_DEGRADED, tier=TIER_STALE, fingerprint="f"
+            outcome=RESPONSE_DEGRADED, tier=TIER_REFERENCE, fingerprint="f"
         )
         shed = PlanResponse(outcome=RESPONSE_SHED, tier=None, fingerprint="f")
         assert served.ok and not served.degraded
@@ -238,8 +235,6 @@ class TestDegradationLadder:
             max_attempts=2,
             backoff_base_seconds=0.0,
             backoff_jitter=0.0,
-            allow_stale=False,
-            allow_incremental=False,
         )
         with PlanService(
             ExecutionPlanner(cluster),
@@ -255,64 +250,51 @@ class TestDegradationLadder:
         direct = ExecutionPlanner(cluster).plan(tiny_tasks)
         assert response.plan.fingerprint == direct.fingerprint
 
-    def test_stale_tier_serves_expired_entries(self, cluster, tiny_tasks):
-        clock = [0.0]
-        cache = PlanCache(capacity=8, ttl_seconds=10.0, clock=lambda: clock[0])
+    def test_reference_plan_serves_later_requests_from_cache(
+        self, cluster, tiny_tasks
+    ):
+        """An unoptimized prototype has the reference planner's
+        configuration, so the rung applies; its plan is cached under the
+        request's fingerprint and the next request is a plain hit."""
         policy = ResiliencePolicy(
-            max_attempts=1,
-            allow_incremental=False,
-            allow_reference=False,
-        )
-        injector = injector_for(
-            FaultEvent(index=1, kind=PLANNER_ERROR, attempts=99)
+            max_attempts=1, backoff_base_seconds=0.0, backoff_jitter=0.0
         )
         with PlanService(
-            ExecutionPlanner(cluster),
-            cache=cache,
+            ExecutionPlanner(cluster, optimized=False),
             num_workers=1,
             resilience=policy,
-            fault_injector=injector,
+            fault_injector=self._always_failing_injector(),
         ) as service:
-            fresh = service.request(tiny_tasks, timeout=30.0)
-            assert fresh.tier == TIER_FRESH
-            clock[0] = 60.0  # expire the entry; solving now always fails
-            response = service.request(tiny_tasks, timeout=30.0)
-        assert response.outcome == RESPONSE_DEGRADED
-        assert response.tier == TIER_STALE
-        assert response.plan is fresh.plan
-        assert cache.stats.stale_hits == 1
+            degraded = service.request(tiny_tasks, timeout=30.0)
+            hit = service.request(tiny_tasks, timeout=30.0)
+        assert degraded.outcome == RESPONSE_DEGRADED
+        assert degraded.tier == TIER_REFERENCE
+        assert hit.outcome == RESPONSE_SERVED
+        assert hit.tier == TIER_CACHE
+        assert hit.plan is degraded.plan
 
-    def test_incremental_tier_reuses_the_retained_plan(self, cluster, tiny_tasks):
+    def test_reference_tier_skips_another_configuration(self, cluster, tiny_tasks):
+        """The reference planner has the default configuration; a service
+        planning under another one fingerprints its requests for plans the
+        reference planner would not produce, so the rung must not serve (or
+        cache) one."""
         policy = ResiliencePolicy(
-            max_attempts=1, allow_stale=False, allow_reference=False
-        )
-        injector = injector_for(
-            FaultEvent(index=1, kind=PLANNER_ERROR, attempts=99)
-        )
-        incremental = IncrementalPlanner(
-            ExecutionPlanner(cluster), reuse_levels=True
+            max_attempts=1, backoff_base_seconds=0.0, backoff_jitter=0.0
         )
         with PlanService(
-            incremental,
+            ExecutionPlanner(cluster, placement_strategy="sequential"),
             num_workers=1,
             resilience=policy,
-            fault_injector=injector,
+            fault_injector=self._always_failing_injector(),
         ) as service:
-            first = service.request(tiny_tasks, timeout=30.0)
-            assert first.tier == TIER_FRESH
-            service.cache.clear()  # force re-planning of the same workload
             response = service.request(tiny_tasks, timeout=30.0)
-        assert response.outcome == RESPONSE_DEGRADED
-        assert response.tier == "incremental"
-        assert response.plan.fingerprint == first.plan.fingerprint
+        assert response.outcome == RESPONSE_ERROR
+        assert response.plan is None
+        assert "ladder" in (response.error or "")
+        assert response.fingerprint not in service.cache
 
     def test_exhausted_ladder_is_an_error(self, cluster, tiny_tasks):
-        policy = ResiliencePolicy(
-            max_attempts=1,
-            allow_stale=False,
-            allow_incremental=False,
-            allow_reference=False,
-        )
+        policy = ResiliencePolicy(max_attempts=1, allow_reference=False)
         with PlanService(
             ExecutionPlanner(cluster),
             num_workers=1,
@@ -333,8 +315,6 @@ class TestBreakerInService:
             max_attempts=1,
             breaker_failure_threshold=2,
             breaker_reset_seconds=1.0,
-            allow_stale=False,
-            allow_incremental=False,
             allow_reference=False,
         )
         injector = injector_for(
@@ -414,8 +394,6 @@ class TestDeadlines:
             deadline_seconds=0.01,
             backoff_base_seconds=0.0,
             backoff_jitter=0.0,
-            allow_stale=False,
-            allow_incremental=False,
         )
         injector = FaultInjector(
             FaultPlan(

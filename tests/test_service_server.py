@@ -177,17 +177,6 @@ class TestErrorsAndShutdown:
 
 
 class TestIncrementalPrototype:
-    def test_service_accepts_incremental_planner(self, cluster, tiny_tasks):
-        from repro.service import IncrementalPlanner
-
-        incremental = IncrementalPlanner(ExecutionPlanner(cluster))
-        direct = ExecutionPlanner(cluster).plan(tiny_tasks)
-        with PlanService(incremental, num_workers=1) as service:
-            served = service.plan(tiny_tasks, timeout=30.0)
-        assert served.fingerprint == direct.fingerprint
-        assert incremental.stats.plans == 1
-        assert incremental.num_pooled_curves > 0
-
     def test_incremental_plan_forwards_fingerprint(self, cluster, tiny_tasks):
         from repro.service import IncrementalPlanner
 
@@ -198,6 +187,17 @@ class TestIncrementalPrototype:
     def test_rejects_non_planner(self):
         with pytest.raises(ServiceError):
             PlanService(object())  # type: ignore[arg-type]
+
+    def test_rejects_incremental_planner(self, cluster):
+        """A service plans with an ExecutionPlanner; the curve-pooling
+        wrapper is the unified runner's planner, so neither it nor a factory
+        of it is a servable prototype."""
+        from repro.service import IncrementalPlanner
+
+        incremental = IncrementalPlanner(ExecutionPlanner(cluster))
+        for planner in (incremental, lambda: incremental):
+            with pytest.raises(ServiceError, match="ExecutionPlanner"):
+                PlanService(planner)  # type: ignore[arg-type]
 
 
 class TestShutdownUnderLoad:

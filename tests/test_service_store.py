@@ -17,16 +17,6 @@ from repro.service import (
 )
 
 
-def write_v1_snapshot(path, fingerprint, payload):
-    """A legacy v1 snapshot: fingerprints map straight to unchecksummed
-    payloads."""
-    path.write_text(
-        json.dumps({"format_version": 1, "entries": {fingerprint: payload}}),
-        encoding="utf-8",
-    )
-    return path
-
-
 @pytest.fixture
 def populated_cache(tiny_tasks):
     """A cache holding one planned entry (with rendered payload)."""
@@ -72,6 +62,15 @@ class TestRoundTrip:
         assert record["checksum"] == payload_checksum(record["payload"])
 
 
+    def test_save_creates_missing_directories(self, tmp_path, populated_cache):
+        cache, fingerprint = populated_cache
+        path = PlanStore(tmp_path / "a" / "b" / "plans.json").save(cache)
+        assert path == tmp_path / "a" / "b" / "plans.json"
+        restored = PlanCache()
+        assert PlanStore(path).load_into(restored).loaded == 1
+        assert restored.get_payload(fingerprint) == cache.get_payload(fingerprint)
+
+
 class TestAtomicity:
     def _failing_store(self, path, *, fail_saves):
         events = [FaultEvent(index=i, kind=PERSIST_ERROR) for i in fail_saves]
@@ -99,6 +98,20 @@ class TestAtomicity:
         restored = PlanCache()
         assert PlanStore(tmp_path / "plans.json").load_into(restored).loaded == 1
         assert restored.get_payload(fingerprint) is not None
+
+
+    def test_next_save_replaces_the_torn_temp_file(self, tmp_path, populated_cache):
+        cache, fingerprint = populated_cache
+        path = tmp_path / "plans.json"
+        torn = tmp_path / "plans.json.tmp"
+        store = self._failing_store(path, fail_saves=[0])
+        with pytest.raises(InjectedPersistError):
+            store.save(cache)
+        assert torn.exists() and not path.exists()
+        store.save(cache)
+        assert not torn.exists()
+        result = PlanStore(path).load_into(PlanCache())
+        assert result.loaded == 1 and result.quarantined == {}
 
 
 class TestQuarantine:
@@ -150,6 +163,30 @@ class TestQuarantine:
         result = PlanStore(path).load_into(PlanCache())
         assert result.quarantined == {"fp": "entry is not an object"}
 
+    def test_next_save_drops_quarantined_entries(self, tmp_path, populated_cache):
+        """Quarantined entries never enter the cache, so saving the loaded
+        cache rewrites the snapshot with only the intact entries."""
+        cache, fingerprint = populated_cache
+        path = PlanStore(tmp_path / "plans.json").save(cache)
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        good = snapshot["entries"][fingerprint]
+        snapshot["entries"]["bad-fp"] = {
+            "payload": good["payload"] + " ",
+            "checksum": good["checksum"],
+        }
+        snapshot["entries"]["not-an-object"] = "payload"
+        snapshot["entry_count"] = 3
+        path.write_text(json.dumps(snapshot), encoding="utf-8")
+
+        loaded = PlanCache()
+        assert len(PlanStore(path).load_into(loaded).quarantined) == 2
+        PlanStore(path).save(loaded)
+        reloaded = PlanCache()
+        result = PlanStore(path).load_into(reloaded)
+        assert result.quarantined == {}
+        assert reloaded.fingerprints() == [fingerprint]
+        assert reloaded.get_payload(fingerprint) == good["payload"]
+
 
 class TestStructuralErrors:
     def test_unparseable_snapshot_raises(self, tmp_path):
@@ -172,81 +209,24 @@ class TestStructuralErrors:
 
 
 class TestLegacyV1:
-    def test_v1_snapshot_loads_unverified(self, tmp_path, populated_cache):
+    def test_v1_snapshot_is_rejected(self, tmp_path, populated_cache):
+        """The checksum-less v1 format has no writer left, so a v1 snapshot
+        is refused whole instead of loading unverified payloads."""
         cache, fingerprint = populated_cache
-        payload = cache.get_payload(fingerprint)
-        path = write_v1_snapshot(tmp_path / "v1.json", fingerprint, payload)
+        path = tmp_path / "v1.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "entries": {fingerprint: cache.get_payload(fingerprint)},
+                }
+            ),
+            encoding="utf-8",
+        )
         restored = PlanCache()
-        result = PlanStore(path).load_into(restored)
-        assert result.loaded == 1
-        assert restored.get_payload(fingerprint) == payload
-
-
-class TestCompaction:
-    def _corrupt_snapshot(self, path, extra_bad: int = 2):
-        """Append ``extra_bad`` checksum-mismatched entries to a snapshot."""
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        good = next(iter(snapshot["entries"].values()))
-        for index in range(extra_bad):
-            snapshot["entries"][f"bad-{index}"] = {
-                "payload": good["payload"] + " ",
-                "checksum": good["checksum"],
-            }
-        snapshot["entry_count"] = len(snapshot["entries"])
-        path.write_text(json.dumps(snapshot), encoding="utf-8")
-
-    def test_compact_drops_dead_entries(self, tmp_path, populated_cache):
-        cache, fingerprint = populated_cache
-        store = PlanStore(tmp_path / "plans.json")
-        path = store.save(cache)
-        self._corrupt_snapshot(path, extra_bad=2)
-
-        assert store.compact() == 2
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert snapshot["entry_count"] == 1
-        assert list(snapshot["entries"]) == [fingerprint]
-        # A post-compaction load is clean.
-        result = PlanStore(path).load_into(PlanCache())
-        assert result.loaded == 1 and result.quarantined == {}
-
-    def test_compact_missing_snapshot_is_noop(self, tmp_path):
-        assert PlanStore(tmp_path / "absent.json").compact() == 0
-
-    def test_compact_upgrades_legacy_v1(self, tmp_path, populated_cache):
-        cache, fingerprint = populated_cache
-        path = write_v1_snapshot(
-            tmp_path / "v1.json", fingerprint, cache.get_payload(fingerprint)
-        )
-        store = PlanStore(path)
-        assert store.compact() == 0
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert snapshot["format_version"] == STORE_FORMAT_VERSION
-        assert snapshot["entries"][fingerprint]["checksum"] == payload_checksum(
-            snapshot["entries"][fingerprint]["payload"]
-        )
-
-    def test_auto_compaction_threshold(self, tmp_path, populated_cache):
-        cache, _ = populated_cache
-        store = PlanStore(tmp_path / "plans.json", auto_compact_threshold=2)
-        path = store.save(cache)
-        self._corrupt_snapshot(path, extra_bad=2)
-
-        result = store.load_into(PlanCache())
-        assert len(result.quarantined) == 2
-        # The threshold was met, so the snapshot was rewritten clean.
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert snapshot["entry_count"] == 1
-        rerun = store.load_into(PlanCache())
-        assert rerun.quarantined == {}
-
-    def test_below_threshold_keeps_snapshot(self, tmp_path, populated_cache):
-        cache, _ = populated_cache
-        store = PlanStore(tmp_path / "plans.json", auto_compact_threshold=5)
-        path = store.save(cache)
-        self._corrupt_snapshot(path, extra_bad=2)
-        store.load_into(PlanCache())
-        snapshot = json.loads(path.read_text(encoding="utf-8"))
-        assert snapshot["entry_count"] == 3  # untouched
+        with pytest.raises(StoreError, match="snapshot version 1 "):
+            PlanStore(path).load_into(restored)
+        assert len(restored) == 0
 
 
 class TestPartitionedSave:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Markdown lint + intra-repo link checker for ``docs/`` and the README.
+"""Markdown lint + intra-repo link checker for ``docs/`` and the README, and
+a name check over the Sphinx roles in ``src/`` docstrings.
 
 Stdlib-only, run by the CI ``docs`` job (and by ``tests/test_check_docs.py``
-against the checked-in tree). Three classes of checks:
+against the checked-in tree). Four classes of checks:
 
 * **Lint** — balanced code fences, exactly one H1 per page, heading levels
   that never skip (``##`` to ``####``), and no malformed link syntax
@@ -17,6 +18,14 @@ against the checked-in tree). Three classes of checks:
   ``repro.a.b`` dotted path, in code or prose, must resolve to a module under
   ``src/``, optionally followed by one attribute the module binds.  Stale
   references to deleted code therefore fail the check.
+* **Roles** — every ``:class:``, ``:meth:``, ``:func:``, ``:attr:``,
+  ``:mod:``, ``:exc:`` and ``:data:`` target in ``src/**/*.py`` must name
+  code under ``src/``: a ``repro.…`` target resolves through its module, a
+  name the module binds (package re-exports included) and a member of that
+  class; a ``Class.member`` target must be a member of a class defined
+  under ``src/``; a bare name must be a symbol defined under ``src/`` or a
+  member of such a class.  A dotted target rooted elsewhere
+  (``random.Random``) is external and not checked.
 
 Exit status: 0 when clean, 1 with one ``file:line: message`` per problem on
 stderr otherwise.
@@ -37,6 +46,7 @@ EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 INLINE_CODE_RE = re.compile(r"`([^`]+)`")
 CAMEL_SPAN_RE = re.compile(r"([A-Z][a-z0-9]+[A-Z]\w*)(?:\.(\w+))?")
 DOTTED_RE = re.compile(r"\brepro(?:\.\w+)+")
+ROLE_RE = re.compile(r":(?:class|meth|func|attr|mod|exc|data):`([^`]+)`")
 
 
 def default_targets(root: Path) -> list[Path]:
@@ -254,6 +264,27 @@ class SourceIndex:
         module, _, attribute = dotted.rpartition(".")
         return module in self.modules and attribute in self.modules[module]
 
+    def resolves_role(self, target: str) -> bool:
+        """Whether a Sphinx role target names code under ``src/``."""
+        parts = target.split(".")
+        if parts[0] == "repro":
+            cut = len(parts)
+            while cut and ".".join(parts[:cut]) not in self.modules:
+                cut -= 1
+            if not cut:
+                return False
+            rest = parts[cut:]
+            if not rest:
+                return True
+            if rest[0] not in self.modules[".".join(parts[:cut])]:
+                return False
+            return len(rest) == 1 or self.has_member(rest[0], rest[1])
+        if len(parts) == 1:
+            return target in self.symbols or any(
+                target in members for members in self.members.values()
+            )
+        return parts[0] not in self.members or self.has_member(*parts[:2])
+
 
 def check_names(path: Path, lines: list[str], index: SourceIndex) -> list[str]:
     problems = []
@@ -285,6 +316,21 @@ def check_names(path: Path, lines: list[str], index: SourceIndex) -> list[str]:
     return problems
 
 
+def check_roles(path: Path, text: str, index: SourceIndex) -> list[str]:
+    problems = []
+    for match in ROLE_RE.finditer(text):
+        # A target may wrap across a line break; ``~`` only shortens the
+        # rendered title.
+        target = re.sub(r"\s+", "", match.group(1)).lstrip("~")
+        if not index.resolves_role(target):
+            number = text.count("\n", 0, match.start()) + 1
+            problems.append(
+                f"{path}:{number}: {match.group(0)!r} names nothing defined "
+                "under src/"
+            )
+    return problems
+
+
 def check_pages(pages: list[Path], root: Path) -> list[str]:
     problems = []
     index = SourceIndex(root / "src")
@@ -293,6 +339,9 @@ def check_pages(pages: list[Path], root: Path) -> list[str]:
         problems.extend(lint_page(page, lines))
         problems.extend(check_links(page, lines, root))
         problems.extend(check_names(page, lines, index))
+    for module in sorted((root / "src").glob("**/*.py")):
+        text = module.read_text(encoding="utf-8")
+        problems.extend(check_roles(module, text, index))
     return problems
 
 
