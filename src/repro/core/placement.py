@@ -20,20 +20,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice, repeat
-from typing import Iterator, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.metagraph import MetaGraph, MetaOp
 from repro.core.plan import PlacementResult, Wave, WaveEntry
-from repro.costmodel.comm import (
-    DeviceGroup,
-    device_runs,
-    group_link,
-    group_transfer_time,
-    link_transfer_time,
-)
+from repro.costmodel.comm import DeviceGroup, group_transfer_time, link_transfer_times
 from repro.costmodel.memory import MemoryModel
+
+#: A half-open run ``(start, end)`` of consecutive device ids.
+Run = tuple[int, int]
 
 
 class PlacementError(Exception):
@@ -42,84 +39,122 @@ class PlacementError(Exception):
 
 @dataclass(frozen=True)
 class _IslandPool:
-    """The islands an entry may use: the whole cluster or one spec class's."""
+    """The devices an entry may use: the whole cluster or one spec class's."""
 
-    islands: tuple[int, ...]
-    island_set: frozenset[int]
-    #: Devices of a spec class's islands; ``None`` for the whole cluster.
-    devices: frozenset[int] | None
+    #: Ascending runs of a spec class's devices; ``None`` for the whole cluster.
+    runs: tuple[Run, ...] | None
     largest_island: int
 
 
-class _FreeLists:
-    """One wave's free devices as an ascending tuple per island.
+class _Candidate(NamedTuple):
+    """A candidate group: its ids in placement order and as a set.
 
-    Devices are only taken within a wave, so an island that empties stays
-    empty; each pool keeps a cursor past its leading empty islands.
+    ``order`` lists the runs whose ids, run by run, are the group's device
+    tuple; ``runs`` are its maximal runs in ascending order; ``island`` is
+    its only island, or ``None`` when it spans several.  ``remote`` marks a
+    single-island candidate on an island no placed neighbour uses.
     """
 
-    def __init__(self, island_devices: tuple[tuple[int, ...], ...]) -> None:
-        self.lists = list(island_devices)
-        self.taken: set[int] = set()
-        self.num_free = sum(map(len, island_devices))
-        self._cursors: dict[frozenset[int], int] = {}
+    order: tuple[Run, ...]
+    runs: tuple[Run, ...]
+    island: int | None
+    remote: bool = False
 
-    def walk(
-        self, pool: _IslandPool, preferred: frozenset[int]
-    ) -> Iterator[tuple[int, ...]]:
-        """Non-empty free lists of ``pool``: ``preferred`` islands first, then
-        the rest, each part in island order (ascending device ids)."""
-        lists = self.lists
-        for island in sorted(preferred):
-            if lists[island]:
-                yield lists[island]
-        islands = pool.islands
-        cursor = self._cursors.get(pool.island_set, 0)
-        while cursor < len(islands) and not lists[islands[cursor]]:
-            cursor += 1
-        self._cursors[pool.island_set] = cursor
-        for island in islice(islands, cursor, None):
-            if island not in preferred and lists[island]:
-                yield lists[island]
 
-    def take(
-        self, cluster: ClusterTopology, group: DeviceGroup, runs: tuple[tuple[int, int], ...]
-    ) -> None:
-        """Take ``group``, whose runs of consecutive ids are ``runs``.
+def _intersect(a: Sequence[Run], b: Sequence[Run]) -> list[Run]:
+    """The ids two ascending lists of disjoint runs share, as ascending runs."""
+    common: list[Run] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        a_start, a_end = a[i]
+        b_start, b_end = b[j]
+        start = a_start if a_start > b_start else b_start
+        end = a_end if a_end < b_end else b_end
+        if start < end:
+            common.append((start, end))
+        if a_end < b_end:
+            i += 1
+        else:
+            j += 1
+    return common
 
-        Every taken device was free, so a run empties the islands strictly
-        inside it and leaves a gap in the ascending lists of its end islands.
-        """
-        members = group.members
-        self.taken |= members
-        self.num_free -= len(members)
-        lists = self.lists
-        for start, end in runs:
-            first, last = cluster.island_of(start), cluster.island_of(end - 1)
-            lists[first + 1 : last] = [()] * max(0, last - first - 1)
-            for island in {first, last}:
-                devices = lists[island]
-                lo, hi = bisect_left(devices, start), bisect_left(devices, end)
-                lists[island] = devices[:lo] + devices[hi:]
+
+def _subtract(a: Sequence[Run], b: Sequence[Run]) -> list[Run]:
+    """The ids of ascending disjoint runs ``a`` outside those of ``b``."""
+    rest: list[Run] = []
+    j = 0
+    for start, end in a:
+        while j < len(b) and b[j][1] <= start:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] < end:
+            b_start, b_end = b[k]
+            if b_start > start:
+                rest.append((start, b_start))
+            if b_end > start:
+                start = b_end
+            k += 1
+        if start < end:
+            rest.append((start, end))
+    return rest
+
+
+def _head(runs: Iterable[Run], n: int) -> tuple[Run, ...] | None:
+    """The first ``n`` ids of ``runs``, in order, with touching runs joined;
+    ``None`` when ``runs`` hold fewer."""
+    head: list[Run] = []
+    for start, end in runs:
+        end = min(end, start + n)
+        if head and head[-1][1] == start:
+            head[-1] = (head[-1][0], end)
+        else:
+            head.append((start, end))
+        n -= end - start
+        if not n:
+            return tuple(head)
+    return None
+
+
+def _ascending(runs: tuple[Run, ...]) -> tuple[Run, ...]:
+    """The maximal ascending runs of the ids ``runs`` cover."""
+    if len(runs) == 1:
+        return runs
+    merged: list[Run] = []
+    for start, end in sorted(runs):
+        if merged and merged[-1][1] >= start:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((start, end))
+    return tuple(merged)
 
 
 class _BlockMemory:
     """Device memory kept per block of devices that share one history.
 
-    Blocks are ascending intervals of device ids, one per island at first.
-    Charging a placed group splits the blocks at the group's run boundaries,
-    so every device of a block has seen the same charges, holds the same
-    parameter keys and (blocks never leave their island) has one capacity.
+    Blocks are ascending intervals of device ids.  At first there is one per
+    run of neighbouring islands whose devices have one memory capacity: a
+    single block on a homogeneous cluster.  Charging a placed group splits
+    the blocks at the group's run boundaries, so every device of a block has
+    seen the same charges, holds the same parameter keys and has one
+    capacity.
     """
 
     def __init__(
         self, cluster: ClusterTopology, islands: tuple[tuple[int, ...], ...], overhead: float
     ) -> None:
         self.num_devices = cluster.num_devices
-        self.starts = [devices[0] for devices in islands]
-        self.used = [overhead] * len(islands)
-        self.keys: list[frozenset[str]] = [frozenset()] * len(islands)
-        self.capacity = [cluster.spec_of(start).memory_bytes for start in self.starts]
+        self.starts: list[int] = []
+        self.capacity: list[float] = []
+        if cluster.is_homogeneous:
+            islands = islands[:1]
+        for devices in islands:
+            capacity = cluster.spec_of(devices[0]).memory_bytes
+            if not self.capacity or self.capacity[-1] != capacity:
+                self.starts.append(devices[0])
+                self.capacity.append(capacity)
+        self.used = [overhead] * len(self.starts)
+        self.keys: list[frozenset[str]] = [frozenset()] * len(self.starts)
 
     def spans(self, runs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
         """Index ranges of the blocks each run of device ids intersects."""
@@ -129,6 +164,9 @@ class _BlockMemory:
     def peak(self, spans: list[tuple[int, int]]) -> float:
         """The largest memory any device of the blocks in ``spans`` holds."""
         used = self.used
+        if len(spans) == 1:
+            i, j = spans[0]
+            return used[i] if j - i == 1 else max(used[i:j])
         return max(chain.from_iterable(used[i:j] for i, j in spans))
 
     def fits(self, spans: list[tuple[int, int]], extra: float) -> bool:
@@ -177,14 +215,15 @@ class _BlockMemory:
 class LocalityAwarePlacer:
     """Greedy, wave-by-wave locality- and memory-aware device placement.
 
-    ``optimized`` (the default) forms each entry's candidates from per-island
-    free lists kept across a wave, scores them against each placed group's
-    member and island sets, and keeps device memory per block of devices
-    with one history, so the cost follows the wave entries rather than the
-    device count.  ``optimized=False`` runs the reference enumeration,
-    scoring and per-device memory accounting, which rescan every island and
-    sort every free device for each entry; it is kept so tests can prove
-    both paths place every entry identically.
+    ``optimized`` (the default) keeps a wave's free devices as ascending runs
+    of ids, forms each entry's candidates by run arithmetic, scores them
+    with one transfer time per source and link class, keeps device memory
+    per block of devices with one history, and builds a device tuple only for
+    the chosen group, so the cost follows the runs rather than the device
+    count.  ``optimized=False`` runs the reference enumeration, scoring and
+    per-device memory accounting, which rescan every island and sort every
+    free device for each entry; it is kept so tests can prove both paths
+    place every entry identically.
     """
 
     def __init__(
@@ -216,6 +255,8 @@ class LocalityAwarePlacer:
         }
         # Built by the first optimized place() call and reused by later ones.
         self._island_devices: tuple[tuple[int, ...], ...] | None = None
+        self._bounds: list[int] = []
+        self._device_ids: tuple[int, ...] = ()
         self._pools: dict[int | None, _IslandPool] = {}
 
     # ------------------------------------------------------------- public API
@@ -224,7 +265,8 @@ class LocalityAwarePlacer:
             return self._place_reference(waves, metagraph)
         result = PlacementResult()
         memory = _BlockMemory(self.cluster, self._islands(), self.memory_model.framework_overhead())
-        last: dict[int, DeviceGroup] = {}
+        # Each MetaOp's last placed group, with the runs of its device tuple.
+        last: dict[int, tuple[DeviceGroup, tuple[Run, ...]]] = {}
         # Per call: MetaGraph.predecessors scans every edge, and the memory
         # model's byte counts depend only on the MetaOp and its device count.
         preds: dict[int, list[tuple[int, float]]] = {i: [] for i in metagraph.metaops}
@@ -244,8 +286,15 @@ class LocalityAwarePlacer:
             return volume
 
         for wave in waves:
-            free = _FreeLists(self._islands())
+            # The wave's free devices, as ascending maximal runs.
+            free = [(0, self.cluster.num_devices)]
+            num_free = self.cluster.num_devices
             for entry in sorted(wave.entries, key=priority, reverse=True):
+                if num_free < entry.n_devices:
+                    raise PlacementError(
+                        f"Wave {wave.index}: MetaOp {entry.metaop_index} needs "
+                        f"{entry.n_devices} devices but only {num_free} are free"
+                    )
                 metaop = metagraph.metaop(entry.metaop_index)
                 key = (entry.metaop_index, entry.n_devices)
                 counts = byte_counts.get(key)
@@ -256,7 +305,7 @@ class LocalityAwarePlacer:
                         self.memory_model.activation_bytes(op, entry.n_devices),
                     )
                     byte_counts[key] = counts
-                group, runs = self._place_entry(
+                placed = self._place_entry(
                     entry,
                     wave,
                     metaop,
@@ -267,13 +316,15 @@ class LocalityAwarePlacer:
                     last,
                     result,
                 )
-                free.take(self.cluster, group, runs)
+                group = placed[0]
+                free = _subtract(free, group.runs)
+                num_free -= group.size
                 entry.devices = group.devices
                 result.assignments[(wave.index, entry.metaop_index)] = group.devices
-                last[entry.metaop_index] = group
+                last[entry.metaop_index] = placed
                 param_bytes, act_bytes = counts
                 memory.charge(
-                    runs,
+                    group.runs,
                     metaop.representative.param_key,
                     param_bytes * entry.layers,
                     act_bytes * entry.layers,
@@ -303,23 +354,28 @@ class LocalityAwarePlacer:
     def _islands(self) -> tuple[tuple[int, ...], ...]:
         if self._island_devices is None:
             self._island_devices = tuple(map(tuple, self.cluster.islands()))
+            # Island i holds the ids range(bounds[i], bounds[i + 1]).
+            self._bounds = [devices[0] for devices in self._island_devices]
+            self._bounds.append(self.cluster.num_devices)
+            self._device_ids = tuple(chain.from_iterable(self._island_devices))
         return self._island_devices
+
+    def _island_of(self, device: int) -> int:
+        return bisect_right(self._bounds, device) - 1
 
     def _pool(self, spec_class: int | None) -> _IslandPool:
         pool = self._pools.get(spec_class)
         if pool is None:
+            bounds = self._bounds
             if spec_class is None:
-                islands = tuple(range(self.cluster.num_nodes))
-                devices = None
+                islands: Sequence[int] = range(self.cluster.num_nodes)
+                runs = None
             else:
-                islands = tuple(sorted(self._class_islands[spec_class]))
-                devices = self._class_devices[spec_class]
-            sizes = self._islands()
+                islands = sorted(self._class_islands[spec_class])
+                runs = _ascending(tuple((bounds[i], bounds[i + 1]) for i in islands))
             pool = _IslandPool(
-                islands=islands,
-                island_set=frozenset(islands),
-                devices=devices,
-                largest_island=max(len(sizes[i]) for i in islands),
+                runs=runs,
+                largest_island=max(bounds[i + 1] - bounds[i] for i in islands),
             )
             self._pools[spec_class] = pool
         return pool
@@ -328,42 +384,84 @@ class LocalityAwarePlacer:
         self,
         n: int,
         pool: _IslandPool,
-        free: _FreeLists,
-        sources: list[DeviceGroup],
-    ) -> list[tuple[int, ...]]:
+        free: list[Run],
+        sources: list[tuple[DeviceGroup, tuple[Run, ...]]],
+    ) -> tuple[list[_Candidate], Iterator[_Candidate], _Candidate | None]:
         """Candidate device groups for an entry of ``n`` devices, best-first.
 
         The same candidates, in the same order, as
-        :meth:`_candidate_blocks_reference`: the first ``n`` free devices the
-        entry's placed neighbours (``sources``) hold, then each island with
-        ``n`` free devices, then a spill over the islands in walk order.
+        :meth:`_candidate_blocks_reference` less its deduplication: the first
+        ``n`` free devices the entry's placed neighbours (``sources``) hold,
+        in their order, then the first ``n`` free devices of each island
+        holding as many, then a spill over the islands.  Islands are walked
+        the neighbours' islands first, then the rest, each part in island
+        order.  Returned in three parts: the candidates on the neighbours'
+        devices and islands, the remote island candidates (formed as they
+        are read) and the spill.
         """
-        preferred_free = filterfalse(
-            free.taken.__contains__,
-            dict.fromkeys(chain.from_iterable(group.devices for group in sources)),
-        )
-        allowed = pool.devices
-        if allowed is not None:
-            preferred_free = filter(allowed.__contains__, preferred_free)
-        candidates: list[tuple[int, ...]] = []
-        first = tuple(islice(preferred_free, n))
-        if len(first) == n:
-            candidates.append(first)
+        free = free if pool.runs is None else _intersect(free, pool.runs)
+        island_of = self._island_of
 
-        preferred = frozenset().union(*(group.islands for group in sources))
-        if allowed is not None:
-            preferred &= pool.island_set
-        if n <= pool.largest_island:
-            candidates.extend(
-                devices[:n] for devices in free.walk(pool, preferred) if len(devices) >= n
+        # The neighbours' ids in order, each once, that are still free.
+        def preferred_free() -> Iterator[Run]:
+            unseen = free
+            for k, (_, order) in enumerate(sources):
+                if k:
+                    # A device an earlier source holds keeps that position.
+                    unseen = _subtract(unseen, sources[k - 1][0].runs)
+                for run in order:
+                    yield from _intersect(unseen, (run,))
+
+        near: list[_Candidate] = []
+        order = _head(preferred_free(), n)
+        if order is not None:
+            near.append(self._candidate(order))
+
+        # The neighbours' islands, as runs of device ids.
+        bounds = self._bounds
+        islands = _ascending(
+            tuple(
+                (bounds[island_of(start)], bounds[island_of(end - 1) + 1])
+                for group, _ in sources
+                for start, end in group.runs
             )
-        spill: list[int] = []
-        for devices in free.walk(pool, preferred):
-            spill.extend(devices[: n - len(spill)])
-            if len(spill) == n:
-                candidates.append(tuple(spill))
-                break
-        return list(dict.fromkeys(candidates))
+        )
+        preferred, rest = _intersect(free, islands), _subtract(free, islands)
+        remotes: Iterator[_Candidate] = iter(())
+        if n <= pool.largest_island:
+            near.extend(
+                _Candidate(runs, runs, island) for island, runs in self._island_heads(preferred, n)
+            )
+            remotes = (
+                _Candidate(runs, runs, island, remote=True)
+                for island, runs in self._island_heads(rest, n)
+            )
+        order = _head(chain(preferred, rest), n)
+        return near, remotes, None if order is None else self._candidate(order)
+
+    def _candidate(self, order: tuple[Run, ...]) -> _Candidate:
+        runs = _ascending(order)
+        first = self._island_of(runs[0][0])
+        return _Candidate(order, runs, first if first == self._island_of(runs[-1][1] - 1) else None)
+
+    def _island_heads(self, free: list[Run], n: int) -> Iterator[tuple[int, tuple[Run, ...]]]:
+        """Each island of ascending runs ``free`` that holds ``n`` of their
+        ids, in island order, with the runs of its first ``n``."""
+        bounds = self._bounds
+        island, runs, count = -1, [], 0
+        for start, end in free:
+            for i in range(self._island_of(start), self._island_of(end - 1) + 1):
+                lo = start if start > bounds[i] else bounds[i]
+                hi = end if end < bounds[i + 1] else bounds[i + 1]
+                if i == island:
+                    runs.append((lo, hi))
+                    count += hi - lo
+                    continue
+                if count >= n:
+                    yield island, _head(runs, n)
+                island, runs, count = i, [(lo, hi)], hi - lo
+        if count >= n:
+            yield island, _head(runs, n)
 
     def _place_entry(
         self,
@@ -372,73 +470,111 @@ class LocalityAwarePlacer:
         metaop: MetaOp,
         preds: list[tuple[int, float]],
         byte_counts: tuple[float, float],
-        free: _FreeLists,
+        free: list[Run],
         memory: _BlockMemory,
-        last: dict[int, DeviceGroup],
+        last: dict[int, tuple[DeviceGroup, tuple[Run, ...]]],
         result: PlacementResult,
-    ) -> tuple[DeviceGroup, tuple[tuple[int, int], ...]]:
-        """The chosen group and its runs of consecutive device ids."""
-        if free.num_free < entry.n_devices:
-            raise PlacementError(
-                f"Wave {wave.index}: MetaOp {entry.metaop_index} needs "
-                f"{entry.n_devices} devices but only {free.num_free} are free"
-            )
+    ) -> tuple[DeviceGroup, tuple[Run, ...]]:
+        """The chosen group and the runs of its device tuple."""
+        n = entry.n_devices
+        cluster = self.cluster
         # Placed neighbours and the volume each sends: the previous slice of
         # the same MetaOp first, then the predecessors in graph order.
-        sources: list[tuple[DeviceGroup, float]] = []
+        sources: list[tuple[tuple[DeviceGroup, tuple[Run, ...]], float]] = []
         prev = last.get(entry.metaop_index)
         if prev is not None:
             sources.append((prev, metaop.representative.activation_bytes))
         for pred, volume in preds:
-            group = last.get(pred)
-            if group is not None:
-                sources.append((group, volume))
+            placed = last.get(pred)
+            if placed is not None:
+                sources.append((placed, volume))
 
-        candidates = self._candidates(
-            entry.n_devices,
-            self._pool(entry.spec_class),
-            free,
-            [group for group, _ in sources],
-        )
-        if not candidates:
-            raise PlacementError(
-                f"No candidate device block of size {entry.n_devices} for MetaOp "
-                f"{entry.metaop_index} in wave {wave.index}"
-            )
+        # Every candidate holds n distinct devices, so a source's transfer
+        # takes one of three times, one per link class.  A remote candidate
+        # is INTER_ISLAND to every source, so all of them share one value.
+        links: list[tuple[tuple[Run, ...], int | None, float, float, float]] = []
+        remote_comm = 0.0
+        for (group, _), volume in sources:
+            # In LinkClass order: the same devices, one island, any other.
+            same_time, island_time, inter_time = link_transfer_times(cluster, group, n, volume)
+            island = next(iter(group.islands)) if len(group.islands) == 1 else None
+            links.append((group.runs, island, same_time, island_time, inter_time))
+            remote_comm += inter_time
 
-        cluster = self.cluster
         param_bytes, act_bytes = byte_counts
         # _entry_device_bytes, from the memoized counts.
         per_device_bytes = (param_bytes + act_bytes) * entry.layers
         capacity = cluster.min_memory_bytes
-        scored: list[tuple[float, bool, float, DeviceGroup, tuple]] = []
-        for devices in candidates:
-            runs = device_runs(devices)
-            # DeviceGroup.of, with the islands read per run.
-            target = DeviceGroup(devices, frozenset(devices), cluster.islands_of_runs(runs))
-            comm = 0.0
-            for source, volume in sources:
-                comm += link_transfer_time(
-                    cluster, group_link(source, target), source, target, volume
-                )
-            spans = memory.spans(runs)
+        weight = self.memory_weight
+        homogeneous = self._homogeneous
+        # The lowest (score, position) among the candidates that fit, and the
+        # lowest (peak, position) among all of them.
+        best = lowest = None
+        best_score = lowest_peak = 0.0
+        near, remotes, spill = self._candidates(
+            n, self._pool(entry.spec_class), free, [p for p, _ in sources]
+        )
+
+        def candidates() -> Iterator[_Candidate]:
+            yield from near
+            # With a non-negative memory weight a remote candidate scores at
+            # least remote_comm, so none can take the lead from a fitting
+            # candidate that scores no more.
+            if best is None or best_score > remote_comm or weight < 0:
+                yield from remotes
+            if spill is not None:
+                yield spill
+
+        for candidate in candidates():
+            if candidate.remote:
+                comm = remote_comm
+            else:
+                comm = 0.0
+                runs, island = candidate.runs, candidate.island
+                for source_runs, source_island, same_time, island_time, inter_time in links:
+                    if source_runs == runs:
+                        comm += same_time
+                    elif source_island is not None and source_island == island:
+                        comm += island_time
+                    else:
+                        comm += inter_time
+            spans = memory.spans(candidate.runs)
             # Float addition is monotonic, so this equals the largest
             # per-device projection.
             peak = memory.peak(spans) + per_device_bytes
-            if self._homogeneous:
+            if homogeneous:
                 fits = peak <= capacity
             else:
                 fits = memory.fits(spans, per_device_bytes)
-            score = comm + self.memory_weight * (peak / capacity) * max(comm, 1e-6)
-            scored.append((score, fits, peak, target, runs))
+            if fits:
+                score = comm + weight * (peak / capacity) * max(comm, 1e-6)
+                if best is None or score < best_score:
+                    best, best_score = candidate, score
+            if lowest is None or peak < lowest_peak:
+                lowest, lowest_peak = candidate, peak
 
-        feasible = [item for item in scored if item[1]]
-        if feasible:
-            best = min(feasible, key=lambda item: item[0])
-        else:
+        if lowest is None:
+            raise PlacementError(
+                f"No candidate device block of size {n} for MetaOp "
+                f"{entry.metaop_index} in wave {wave.index}"
+            )
+        if best is None:
             self._record_oom(wave, entry, result)
-            best = min(scored, key=lambda item: item[2])
-        return best[3], best[4]
+            best = lowest
+        if best.island is not None:
+            islands = frozenset((best.island,))
+        else:
+            islands = cluster.islands_of_runs(best.runs)
+        # Slices of the cluster's own id objects: a cached plan holds tens of
+        # thousands of device ids at 4096 GPUs, and fresh ints would each
+        # take a 28-byte object.
+        ids = self._device_ids
+        if len(best.order) == 1:
+            start, end = best.order[0]
+            devices = ids[start:end]
+        else:
+            devices = tuple(chain.from_iterable(ids[start:end] for start, end in best.order))
+        return DeviceGroup(devices, best.runs, n, islands), best.order
 
     def _record_oom(self, wave: Wave, entry: WaveEntry, result: PlacementResult) -> None:
         """All candidates would exceed memory: record the OOM; the caller picks

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from repro.cluster.topology import ClusterTopology, InterconnectSpec
@@ -30,23 +31,37 @@ class LinkClass(Enum):
     INTER_ISLAND = "inter_island"
 
 
+_LINK_CLASSES = tuple(LinkClass)
+
+
 @dataclass(frozen=True)
 class DeviceGroup:
-    """A device group with its member and island sets, built once.
+    """A device group with its runs and island set, built once.
 
-    Every transfer into or out of a placed group compares these two sets, so
-    the placer and the runtime engine build one ``DeviceGroup`` per placed
-    wave entry instead of recomputing the sets for each transfer.
+    ``runs`` are the maximal runs of consecutive ids of the group's distinct
+    members (ascending, half-open ``(start, end)`` pairs) and ``size`` counts
+    those members, so two groups have the same members exactly when their
+    runs are equal.  Every transfer into or out of a placed group reads these,
+    so the placer and the runtime engine build one ``DeviceGroup`` per placed
+    wave entry instead of recomputing them for each transfer; the member set
+    itself is built only when read.
     """
 
     devices: tuple[int, ...]
-    members: frozenset[int]
+    runs: tuple[tuple[int, int], ...]
+    size: int
     islands: frozenset[int]
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.devices)
 
     @classmethod
     def of(cls, cluster: ClusterTopology, devices: Sequence[int]) -> "DeviceGroup":
         devices = tuple(devices)
-        return cls(devices, frozenset(devices), cluster.islands_of(devices))
+        islands = cluster.islands_of(devices)
+        runs = device_runs(frozenset(devices))
+        return cls(devices, runs, sum(end - start for start, end in runs), islands)
 
 
 def device_runs(devices: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -81,9 +96,9 @@ def device_runs(devices: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def group_link(src: DeviceGroup, dst: DeviceGroup) -> LinkClass:
     """Classify the slowest link a transfer between two device groups crosses."""
-    if not src.members or not dst.members:
+    if not src.runs or not dst.runs:
         raise ValueError("Device groups must not be empty")
-    if src.members == dst.members:
+    if src.runs == dst.runs:
         return LinkClass.INTRA_DEVICE
     if len(src.islands) == 1 and src.islands == dst.islands:
         return LinkClass.INTRA_ISLAND
@@ -195,10 +210,29 @@ def link_transfer_time(
     volume_bytes: float,
 ) -> float:
     """:func:`group_transfer_time` between groups whose link class is known."""
+    return _parallel_transfer_time(cluster, link, min(src.size, dst.size), volume_bytes)
+
+
+def link_transfer_times(
+    cluster: ClusterTopology, src: DeviceGroup, dst_size: int, volume_bytes: float
+) -> tuple[float, ...]:
+    """:func:`link_transfer_time` from ``src`` into any group of ``dst_size``
+    distinct devices, for each link class in :class:`LinkClass` order.
+
+    The parallelism reads only the two member counts, so a transfer from
+    ``src`` into any such group takes one of these three times.
+    """
+    pairs = min(src.size, dst_size)
+    return tuple(
+        _parallel_transfer_time(cluster, link, pairs, volume_bytes) for link in _LINK_CLASSES
+    )
+
+
+def _parallel_transfer_time(
+    cluster: ClusterTopology, link: LinkClass, pairs: int, volume_bytes: float
+) -> float:
     if volume_bytes < 0:
         raise ValueError("volume must be non-negative")
     if volume_bytes == 0:
         return 0.0
-    parallelism = max(1, min(len(src.members), len(dst.members)))
-    return p2p_time(volume_bytes / parallelism, link_spec(cluster, link))
-
+    return p2p_time(volume_bytes / max(1, pairs), link_spec(cluster, link))

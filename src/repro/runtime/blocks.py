@@ -27,13 +27,17 @@ from repro.costmodel.comm import device_runs
 class DeviceBlocks:
     """Block ``b`` covers the device ids ``range(bounds[b], bounds[b + 1])``.
 
-    ``covers`` maps each group the partition was built from to the ascending
-    block ids whose union is that group's device set.  Device ids within one
-    group must be distinct, as in every placed wave entry.
+    ``runs`` maps each group the partition was built from to its maximal runs
+    of consecutive ids, and ``covers`` to the ascending block ids whose union
+    is that group's device set.  Device ids within one group must be
+    distinct, as in every placed wave entry.
     """
 
     def __init__(self, groups: Mapping[Hashable, Sequence[int]]) -> None:
-        runs = {key: device_runs(devices) for key, devices in groups.items()}
+        self.runs: dict[Hashable, tuple[tuple[int, int], ...]] = {
+            key: device_runs(devices) for key, devices in groups.items()
+        }
+        runs = self.runs
         self.bounds: list[int] = sorted(
             set(chain.from_iterable(chain.from_iterable(runs.values())))
         )

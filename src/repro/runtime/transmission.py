@@ -64,16 +64,18 @@ def build_transmissions(
     transmissions: list[TransmissionOp] = []
 
     # Wave entries of each MetaOp in execution order, each placed group's
-    # member and island sets built once for every transfer it takes part in;
-    # the islands are read per block, not per device.
+    # runs and island set built once for every transfer it takes part in;
+    # the islands are read per run, not per device.
     slices: dict[int, list[tuple[int, DeviceGroup, tuple[int, ...]]]] = {}
     for wave in plan.waves:
         for entry in wave.entries:
             key = (wave.index, entry.metaop_index)
             devices = plan.placement.devices_for(*key)
-            cover = blocks.covers[key]
-            group = DeviceGroup(devices, frozenset(devices), blocks.islands(cluster, cover))
-            slices.setdefault(entry.metaop_index, []).append((wave.index, group, cover))
+            runs = blocks.runs[key]
+            group = DeviceGroup(devices, runs, len(devices), cluster.islands_of_runs(runs))
+            slices.setdefault(entry.metaop_index, []).append(
+                (wave.index, group, blocks.covers[key])
+            )
 
     def add(
         boundary: int,

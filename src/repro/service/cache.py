@@ -18,13 +18,14 @@ restarted from a snapshot needs — :meth:`get` treats such entries as misses
 while :meth:`get_payload` serves them.
 
 Rendered payloads carry a SHA-256 checksum computed at render time;
-:meth:`get_payload` re-verifies it on every serve and quarantines (drops and
-counts) entries whose bytes no longer match — corrupted payloads are treated
-as misses, never served.  With a telemetry ``journal`` attached each
-quarantine is additionally journaled as a ``cache.quarantined`` event
-carrying the entry's fingerprint (cache-scoped, so no trace ID — the
-corruption is attributed to the *entry*, while the injection that caused it
-is attributed to its request by the fault injector).
+:meth:`get_payload` re-verifies it on every serve, and :meth:`peek_payload`
+on every persist, and both quarantine (drop and count) entries whose bytes
+no longer match — corrupted payloads are treated as misses, never served.
+With a telemetry ``journal`` attached each quarantine is additionally
+journaled as a ``cache.quarantined`` event carrying the entry's fingerprint
+(cache-scoped, so no trace ID — the corruption is attributed to the
+*entry*, while the injection that caused it is attributed to its request by
+the fault injector).
 
 Fingerprints are canonical (see :mod:`repro.service.fingerprint`): requests
 that differ only in task naming or ordering share one entry, so the served
@@ -156,13 +157,18 @@ class PlanCache:
         entry = self._lookup(fingerprint)
         if entry is None:
             return None
-        # Render outside the lock; concurrent renders of the same plan
-        # produce identical strings, so last-writer-wins is benign.
-        payload = entry.render()
-        if not entry.payload_intact():
-            self._quarantine(fingerprint)
+        return self._verified(fingerprint, entry, counted=True)
+
+    def peek_payload(self, fingerprint: str) -> Optional[str]:
+        """:meth:`get_payload` for persisting: the same verified bytes and
+        the same quarantine of a mismatch, but no hit, miss or recency
+        change, so a snapshot leaves the counters and the eviction order as
+        the requests left them."""
+        with self._lock:
+            entry = self._entries.get(fingerprint)
+        if entry is None:
             return None
-        return payload
+        return self._verified(fingerprint, entry, counted=False)
 
     def put(
         self,
@@ -244,17 +250,28 @@ class PlanCache:
             return list(self._entries)
 
     # -------------------------------------------------------------- internals
-    def _quarantine(self, fingerprint: str) -> None:
+    def _verified(self, fingerprint: str, entry: _CacheEntry, counted: bool) -> Optional[str]:
+        """The entry's payload, or ``None`` after quarantining a mismatch."""
+        # Render outside the lock; concurrent renders of the same plan
+        # produce identical strings, so last-writer-wins is benign.
+        payload = entry.render()
+        if not entry.payload_intact():
+            self._quarantine(fingerprint, counted)
+            return None
+        return payload
+
+    def _quarantine(self, fingerprint: str, counted: bool) -> None:
         """Drop a corrupted entry and count the detection.
 
-        The triggering access was already counted as a hit by ``_lookup``;
+        A ``counted`` access was already counted as a hit by ``_lookup``;
         re-classify it as a miss so ``requests`` still counts it once.
         """
         with self._lock:
             self._entries.pop(fingerprint, None)
             self.stats.corruptions += 1
-            self.stats.hits -= 1
-            self.stats.misses += 1
+            if counted:
+                self.stats.hits -= 1
+                self.stats.misses += 1
         if self.journal is not None:
             self.journal.emit("cache.quarantined", None, fingerprint=fingerprint)
 

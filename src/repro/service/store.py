@@ -102,7 +102,9 @@ class PlanStore:
         )
         entries: dict[str, dict[str, str]] = {}
         for fingerprint in selection:
-            payload = cache.get_payload(fingerprint)
+            # Persisting is not serving: read without counting a hit or
+            # moving the entry to the LRU end.
+            payload = cache.peek_payload(fingerprint)
             if payload is None:
                 continue  # evicted or quarantined between listing and read
             entries[fingerprint] = {

@@ -9,8 +9,11 @@ from repro.costmodel.comm import (
     all_gather_time,
     classify_link,
     group_allreduce_time,
+    group_link,
     group_transfer_time,
     link_spec,
+    link_transfer_time,
+    link_transfer_times,
     p2p_time,
     reduce_scatter_time,
     ring_allreduce_time,
@@ -115,6 +118,23 @@ class TestDeviceGroups:
         assert group.devices == (5, 0, 5)
         assert group.members == {0, 5}
         assert group.islands == {0, 1}
+
+    def test_runs_and_member_count_drive_link_and_parallelism(self, two_island_cluster):
+        """``[5, 0, 5]`` has two members: its runs, not its tuple, decide the
+        link class, and its member count the transfer parallelism."""
+        cluster = two_island_cluster
+        group = DeviceGroup.of(cluster, [5, 0, 5])
+        assert group.runs == ((0, 1), (5, 6))
+        assert group.size == 2
+        wide = DeviceGroup.of(cluster, [0, 1, 2, 3])
+        assert group_link(group, DeviceGroup.of(cluster, [0, 5])) is LinkClass.INTRA_DEVICE
+        assert group_link(group, wide) is LinkClass.INTER_ISLAND
+        expected = p2p_time(1e9 / 2, link_spec(cluster, LinkClass.INTER_ISLAND))
+        assert link_transfer_time(cluster, LinkClass.INTER_ISLAND, group, wide, 1e9) == expected
+        assert group_transfer_time(cluster, [5, 0, 5], [0, 1, 2, 3], 1e9) == expected
+        assert link_transfer_times(cluster, group, wide.size, 1e9) == tuple(
+            link_transfer_time(cluster, link, group, wide, 1e9) for link in LinkClass
+        )
 
     def test_group_rejects_out_of_range_devices(self, two_island_cluster):
         with pytest.raises(TopologyError):

@@ -26,6 +26,7 @@ from repro.service import (
     PlanCache,
     PlanStore,
     jump_consistent_hash,
+    payload_checksum,
     shard_for_fingerprint,
 )
 
@@ -335,6 +336,21 @@ class TestPartitionedPersistence:
             reserved = self._serve(warmed, workloads)
         assert factory.calls == 0  # every request served from the warm cache
         assert reserved == payloads
+
+    def test_persist_keeps_the_shared_cache_lru_order(self, cluster, tiny_tasks, tmp_path):
+        """Saving shard by shard neither counts hits nor regroups the LRU
+        order by owning shard, which would change the next eviction."""
+        plan = ExecutionPlanner(cluster).plan(tiny_tasks)
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
+        ) as fleet:
+            fingerprints = [payload_checksum(str(i)) for i in range(8)]
+            for fingerprint in fingerprints:
+                fleet.cache.put(fingerprint, plan)
+            assert len({fleet.shard_of(fp) for fp in fingerprints}) > 1
+            assert fleet.persist() == 4
+            assert fleet.cache.fingerprints() == fingerprints
+            assert fleet.cache.stats.hits == 0
 
     def test_reshard_returns_byte_identical_payloads(
         self, cluster, tiny_tasks, tmp_path

@@ -188,6 +188,37 @@ class TestQuarantine:
         assert reloaded.get_payload(fingerprint) == good["payload"]
 
 
+class TestCounters:
+    """Persisting reads the cache without serving from it."""
+
+    @staticmethod
+    def _unserved_cache(tiny_tasks):
+        plan = ExecutionPlanner(make_cluster(4, devices_per_node=4)).plan(tiny_tasks)
+        cache = PlanCache(capacity=8)
+        fingerprints = [payload_checksum(str(i)) for i in range(8)]
+        for fingerprint in fingerprints:
+            cache.put(fingerprint, plan)
+        return cache, fingerprints
+
+    def test_save_counts_no_hit_and_keeps_the_lru_order(self, tmp_path, tiny_tasks):
+        cache, fingerprints = self._unserved_cache(tiny_tasks)
+        PlanStore(tmp_path / "plans.json").save(cache, fingerprints=fingerprints[::-1])
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+        assert cache.stats.hit_rate == 0.0
+        assert cache.fingerprints() == fingerprints
+        restored = PlanCache(capacity=8)
+        assert PlanStore(tmp_path / "plans.json").load_into(restored).loaded == 8
+
+    def test_save_quarantines_a_corrupt_entry_without_counting_a_miss(self, tmp_path, tiny_tasks):
+        cache, fingerprints = self._unserved_cache(tiny_tasks)
+        assert cache.corrupt(fingerprints[3])
+        path = PlanStore(tmp_path / "plans.json").save(cache)
+        assert fingerprints[3] not in json.loads(path.read_text(encoding="utf-8"))["entries"]
+        assert fingerprints[3] not in cache
+        assert cache.stats.corruptions == 1
+        assert (cache.stats.hits, cache.stats.misses) == (0, 0)
+
+
 class TestStructuralErrors:
     def test_unparseable_snapshot_raises(self, tmp_path):
         path = tmp_path / "plans.json"
