@@ -16,6 +16,7 @@ from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator
 from repro.graph.task import SpindleTask
 from repro.runtime.results import IterationResult, TimeBreakdown
+from repro.summation import left_sum
 
 
 class DistMMMTSystem(TrainingSystem):
@@ -136,7 +137,7 @@ class DistMMMTSystem(TrainingSystem):
         return towers, dependents
 
     def _tower_time(self, tower: list[Operator], n_devices: int) -> float:
-        return sum(self.timing_model.operator_time(op, n_devices) for op in tower)
+        return left_sum(self.timing_model.operator_time(op, n_devices) for op in tower)
 
     def _allocate_towers(
         self, task: SpindleTask, towers: list[list[Operator]], num_devices: int
@@ -151,8 +152,8 @@ class DistMMMTSystem(TrainingSystem):
         if len(towers) == 1:
             return [num_devices]
         if len(towers) == 2:
-            flops = [sum(op.flops for op in tower) for tower in towers]
-            ideal0 = num_devices * flops[0] / max(1.0, sum(flops))
+            flops = [left_sum(op.flops for op in tower) for tower in towers]
+            ideal0 = num_devices * flops[0] / max(1.0, left_sum(flops))
             best: tuple[tuple[float, float], list[int]] | None = None
             for n0 in range(1, num_devices):
                 n1 = num_devices - n0

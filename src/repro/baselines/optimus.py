@@ -17,6 +17,7 @@ from repro.core.allocator import default_valid_allocations
 from repro.core.metagraph import MetaOp
 from repro.graph.task import SpindleTask
 from repro.runtime.results import IterationResult, TimeBreakdown
+from repro.summation import left_sum
 
 
 class SpindleOptimusSystem(TrainingSystem):
@@ -106,7 +107,7 @@ class SpindleOptimusSystem(TrainingSystem):
     # ----------------------------------------------------------------- helpers
     def task_completion_time(self, task: SpindleTask, n_devices: int) -> float:
         """Completion time of one task executed entirely on ``n_devices``."""
-        return sum(
+        return left_sum(
             self.timing_model.operator_time(op, n_devices) for op in task.operators
         )
 

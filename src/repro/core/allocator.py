@@ -48,6 +48,7 @@ from typing import Callable, Sequence
 from repro.core.estimator import ScalingCurve
 from repro.core.metagraph import MetaGraph, MetaOp
 from repro.core.plan import ASLTuple, LevelAllocation
+from repro.summation import left_sum
 
 
 class AllocationError(Exception):
@@ -244,7 +245,7 @@ class ContinuousAllocation:
     allocations: dict[int, float]
 
     def total_devices(self) -> float:
-        return sum(self.allocations.values())
+        return left_sum(self.allocations.values())
 
 
 class ResourceAllocator:
@@ -303,13 +304,13 @@ class ResourceAllocator:
         c_low = max(
             tables[m.index].times[-1] * m.num_operators for m in metaops
         )
-        c_high = sum(curves[m.index].time(1) * m.num_operators for m in metaops)
+        c_high = left_sum(curves[m.index].time(1) * m.num_operators for m in metaops)
         c_high = max(c_high, c_low * (1 + self.bisection_tolerance))
 
         # If even the fastest completion (every MetaOp at its largest valid
         # allocation) fits in the cluster, the lower bound is already optimal.
         allocations = self._allocations_at(c_low, metaops, tables)
-        if sum(allocations.values()) <= self.num_devices:
+        if left_sum(allocations.values()) <= self.num_devices:
             return ContinuousAllocation(c_star=c_low, allocations=allocations)
 
         for _ in range(self.max_bisection_iters):
@@ -385,10 +386,10 @@ class ResourceAllocator:
         c_low = max(
             curves[m.index].time(max_valid[m.index]) * m.num_operators for m in metaops
         )
-        c_high = sum(curves[m.index].time(1) * m.num_operators for m in metaops)
+        c_high = left_sum(curves[m.index].time(1) * m.num_operators for m in metaops)
         c_high = max(c_high, c_low * (1 + self.bisection_tolerance))
 
-        if sum(level_allocations(c_low).values()) <= self.num_devices:
+        if left_sum(level_allocations(c_low).values()) <= self.num_devices:
             allocations = level_allocations(c_low)
             return ContinuousAllocation(c_star=c_low, allocations=allocations)
 
@@ -396,7 +397,7 @@ class ResourceAllocator:
             if c_high - c_low <= self.bisection_tolerance * c_high:
                 break
             c_mid = 0.5 * (c_low + c_high)
-            total = sum(level_allocations(c_mid).values())
+            total = left_sum(level_allocations(c_mid).values())
             if total < self.num_devices:
                 c_high = c_mid
             else:

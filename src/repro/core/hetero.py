@@ -37,6 +37,7 @@ from repro.core.allocator import AllocationError, ResourceAllocator
 from repro.core.estimator import ScalabilityEstimator, ScalingCurve
 from repro.core.metagraph import MetaGraph, MetaOp
 from repro.core.plan import LevelAllocation
+from repro.summation import left_sum
 
 
 def partition_level(
@@ -57,8 +58,8 @@ def partition_level(
     work = {
         m.index: base_curves[m.index].time(1) * m.num_operators for m in metaops
     }
-    total_work = sum(work.values())
-    total_capacity = sum(cls.capacity_flops for cls in classes)
+    total_work = left_sum(work.values())
+    total_capacity = left_sum(cls.capacity_flops for cls in classes)
     ordered = sorted(metaops, key=lambda m: (-work[m.index], m.index))
 
     # Cumulative work boundary after which the walk leaves class k.

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.cluster.topology import ClusterTopology
 from repro.core.metagraph import MetaGraph, MetaOp
-from repro.core.plan import PlacementResult, Wave, WaveEntry
+from repro.core.plan import BlockMemoryMap, PlacementResult, Wave, WaveEntry
 from repro.costmodel.comm import DeviceGroup, group_transfer_time, link_transfer_times
 from repro.costmodel.memory import MemoryModel
 
@@ -205,11 +205,8 @@ class _BlockMemory:
                     keys[b] = keys[b] | {param_key}
                 used[b] += activation_bytes
 
-    def per_device(self) -> dict[int, float]:
-        ends = self.starts[1:] + [self.num_devices]
-        blocks = zip(self.used, self.starts, ends)
-        memory = chain.from_iterable(repeat(used, end - start) for used, start, end in blocks)
-        return dict(enumerate(memory))
+    def per_device(self) -> BlockMemoryMap:
+        return BlockMemoryMap(self.starts, self.used, self.num_devices)
 
 
 class LocalityAwarePlacer:

@@ -15,8 +15,12 @@ scheduler (§3.4), the device placement pass (§3.5) and the runtime engine
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+from repro.summation import left_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.cluster.topology import ClusterTopology
@@ -165,12 +169,47 @@ class WavefrontSchedule:
             previous_end = wave.end
 
 
+class BlockMemoryMap(Mapping[int, float]):
+    """Read-only per-device memory stored once per block of device ids.
+
+    Block ``i`` covers the ids from ``starts[i]`` up to the next start (the
+    last block up to ``num_devices``), and each of its devices holds
+    ``values[i]`` bytes.  Iteration visits device ids in ascending order, so
+    ``items()`` and ``values()`` equal the per-device dict's, value for
+    value, while the map keeps one start and one value per block.
+    """
+
+    __slots__ = ("_starts", "_values", "_num_devices")
+
+    def __init__(
+        self, starts: Sequence[int], values: Sequence[float], num_devices: int
+    ) -> None:
+        self._starts = tuple(starts)
+        self._values = tuple(values)
+        self._num_devices = num_devices
+
+    def __getitem__(self, device: int) -> float:
+        if not 0 <= device < self._num_devices:
+            raise KeyError(device)
+        return self._values[bisect_right(self._starts, device) - 1]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._num_devices))
+
+    def __len__(self) -> int:
+        return self._num_devices
+
+
 @dataclass
 class PlacementResult:
-    """Device assignment for every (wave, MetaOp) pair plus memory accounting."""
+    """Device assignment for every (wave, MetaOp) pair plus memory accounting.
+
+    The optimized placer reports ``device_memory_bytes`` as a
+    :class:`BlockMemoryMap`; the reference and sequential placers as a dict.
+    """
 
     assignments: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    device_memory_bytes: dict[int, float] = field(default_factory=dict)
+    device_memory_bytes: Mapping[int, float] = field(default_factory=dict)
     oom_events: list[tuple[int, int]] = field(default_factory=list)
     backtracks: int = 0
 
@@ -276,7 +315,7 @@ class ExecutionPlan:
     @property
     def theoretical_optimum(self) -> float:
         """Sum of per-level continuous optima (Theorem 1 lower bound)."""
-        return sum(alloc.c_star for alloc in self.level_allocations.values())
+        return left_sum(alloc.c_star for alloc in self.level_allocations.values())
 
     def validate(self) -> None:
         self.schedule.validate(self.cluster.num_devices)

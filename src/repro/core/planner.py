@@ -504,10 +504,11 @@ def _copy_schedule(schedule: WavefrontSchedule) -> WavefrontSchedule:
 
 
 def _copy_placement(placement: PlacementResult) -> PlacementResult:
-    """Deep copy of a placement result (assignments, memory, OOM records)."""
+    """Copy of a placement result (assignments, OOM records); the device
+    memory, which no one writes once placed, is shared."""
     return PlacementResult(
         assignments=dict(placement.assignments),
-        device_memory_bytes=dict(placement.device_memory_bytes),
+        device_memory_bytes=placement.device_memory_bytes,
         oom_events=list(placement.oom_events),
         backtracks=placement.backtracks,
     )

@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.baselines.base import TrainingSystem
 from repro.graph.task import SpindleTask
 from repro.service.cache import PlanCache
+from repro.summation import left_sum
 
 
 class DynamicWorkloadError(Exception):
@@ -115,7 +116,7 @@ class DynamicRunResult:
 
     @property
     def total_time(self) -> float:
-        return sum(p.phase_time for p in self.phase_results)
+        return left_sum(p.phase_time for p in self.phase_results)
 
     def cumulative_curve(self) -> list[tuple[int, float]]:
         """``(cumulative_iterations, cumulative_time)`` points, one per phase."""

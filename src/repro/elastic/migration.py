@@ -33,6 +33,7 @@ from repro.core.plan import ExecutionPlan
 from repro.costmodel.comm import group_transfer_time
 from repro.costmodel.memory import MemoryModel
 from repro.elastic.view import ElasticSnapshot
+from repro.summation import left_sum
 
 
 @dataclass(frozen=True)
@@ -74,27 +75,27 @@ class MigrationReport:
 
     @property
     def moved_bytes(self) -> float:
-        return sum(g.param_bytes for g in self.groups if not g.restored)
+        return left_sum(g.param_bytes for g in self.groups if not g.restored)
 
     @property
     def restored_bytes(self) -> float:
-        return sum(g.param_bytes for g in self.groups if g.restored)
+        return left_sum(g.param_bytes for g in self.groups if g.restored)
 
     @property
     def total_bytes(self) -> float:
-        return sum(g.param_bytes for g in self.groups)
+        return left_sum(g.param_bytes for g in self.groups)
 
     @property
     def transfer_seconds(self) -> float:
-        return sum(g.seconds for g in self.groups if not g.restored)
+        return left_sum(g.seconds for g in self.groups if not g.restored)
 
     @property
     def restore_seconds(self) -> float:
-        return sum(g.seconds for g in self.groups if g.restored)
+        return left_sum(g.seconds for g in self.groups if g.restored)
 
     @property
     def total_seconds(self) -> float:
-        return sum(g.seconds for g in self.groups) + self.recompute_seconds
+        return left_sum(g.seconds for g in self.groups) + self.recompute_seconds
 
     @property
     def num_restored_groups(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.runtime.trace import UtilizationTrace
@@ -43,7 +44,7 @@ class IterationResult:
     iteration_time: float
     breakdown: TimeBreakdown
     trace: UtilizationTrace
-    device_memory_bytes: dict[int, float] = field(default_factory=dict)
+    device_memory_bytes: Mapping[int, float] = field(default_factory=dict)
     num_waves: int = 0
     metadata: dict = field(default_factory=dict)
 

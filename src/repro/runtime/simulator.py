@@ -163,7 +163,7 @@ class WaveExecutionSimulator:
             iteration_time=iteration_time,
             breakdown=breakdown,
             trace=trace,
-            device_memory_bytes=dict(self.plan.placement.device_memory_bytes),
+            device_memory_bytes=self.plan.placement.device_memory_bytes,
             num_waves=len(self.plan.waves),
             metadata={
                 "wave_timings": wave_timings,

@@ -9,10 +9,10 @@ achieved FLOP/s, exactly as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, repeat
-from operator import add
 from typing import Optional, Sequence
+
+from repro.summation import left_sum
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,6 @@ class BusyBlock:
     def flops(self) -> float:
         """FLOPs of one of the block's per-device segments."""
         return self.flops_per_second * self.duration
-
-
-def _add_repeated(total: float, value: float, times: int) -> float:
-    """``total`` plus ``value``, ``times`` times, one addition at a time."""
-    return reduce(add, repeat(value, times), total)
 
 
 @dataclass
@@ -180,7 +175,7 @@ class UtilizationTrace:
         per_segment = chain.from_iterable(
             repeat(block.flops, len(block.devices)) for block in self.blocks
         )
-        return sum(per_segment) / self.end_time
+        return left_sum(per_segment) / self.end_time
 
     def cluster_timeline(self, num_points: int = 200) -> list[tuple[float, float]]:
         """Sampled cluster FLOP/s over time (the curve of Fig. 9a)."""
@@ -196,8 +191,8 @@ class UtilizationTrace:
             for block in self.blocks:
                 overlap = min(block.end, t_hi) - max(block.start, t_lo)
                 if overlap > 0:
-                    total = _add_repeated(
-                        total, block.flops_per_second * overlap, len(block.devices)
+                    total = left_sum(
+                        repeat(block.flops_per_second * overlap, len(block.devices)), total
                     )
             points.append((t_lo, total / step))
         return points
@@ -211,11 +206,11 @@ class UtilizationTrace:
             if index is None:
                 continue
             times = len(block.devices)
-            time_per_metaop[index] = _add_repeated(
-                time_per_metaop.get(index, 0.0), block.duration, times
+            time_per_metaop[index] = left_sum(
+                repeat(block.duration, times), time_per_metaop.get(index, 0.0)
             )
-            flops_per_metaop[index] = _add_repeated(
-                flops_per_metaop.get(index, 0.0), block.flops, times
+            flops_per_metaop[index] = left_sum(
+                repeat(block.flops, times), flops_per_metaop.get(index, 0.0)
             )
         return {
             idx: flops_per_metaop[idx] / time_per_metaop[idx]

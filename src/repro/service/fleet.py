@@ -104,12 +104,13 @@ def shard_for_fingerprint(fingerprint: str, num_shards: int) -> int:
 class PlanServiceFleet:
     """N fingerprint-range-sharded :class:`PlanService` shards, one front end.
 
-    The router fingerprints each request once (shared
-    :class:`~repro.service.server.FingerprintMemo`), routes it to the shard
-    owning its range, and hands the precomputed fingerprint down — so a
-    request is canonicalised exactly once no matter how many shards or
-    entry points exist.  Identical fingerprints deterministically route to
-    one shard, preserving single-flight coalescing across entry points.
+    The router fingerprints each request once (its
+    :class:`~repro.service.server.FingerprintMemo`, the fleet's only one in
+    use), routes it to the shard owning its range, and hands the
+    precomputed fingerprint down — so a request is canonicalised exactly
+    once no matter how many shards or entry points exist.  Identical
+    fingerprints deterministically route to one shard, preserving
+    single-flight coalescing across entry points.
 
     Parameters
     ----------
@@ -122,7 +123,9 @@ class PlanServiceFleet:
         is the routing function.
     cache:
         Pre-built shared cache; by default a :class:`PlanCache` of
-        ``capacity`` entries.
+        ``capacity`` entries.  The default 256 can hold about 170 MB of
+        1024-GPU plans or 335 MB of 4096-GPU plans (see
+        :class:`PlanCache` for the per-plan figures).
     num_workers / max_batch_size / resilience:
         Per-shard :class:`PlanService` configuration; with ``resilience``
         every shard keeps its own circuit breaker.
@@ -202,9 +205,8 @@ class PlanServiceFleet:
 
     # ------------------------------------------------------------- routing
     def fingerprint(self, workload: PlannerInput) -> str:
-        """Canonical fingerprint, memoized once fleet-wide."""
-        if not isinstance(workload, ComputationGraph):
-            workload = tuple(workload)
+        """Canonical fingerprint, memoized in the router only, and only for
+        as long as the workload's objects live."""
         return self._fingerprints.fingerprint(workload)
 
     def shard_of(self, fingerprint: str) -> int:

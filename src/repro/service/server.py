@@ -59,6 +59,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -114,14 +115,18 @@ _SHUTDOWN = object()
 
 
 class FingerprintMemo:
-    """Identity-keyed memo of workload fingerprints.
+    """Identity-keyed memo of workload fingerprints that holds no workload alive.
 
     Resubmitting the same task objects (the common serving pattern) skips
-    canonicalisation entirely; entries hold strong references to their
-    workloads so CPython cannot recycle the memoized ids.  Workloads are
-    treated as immutable once submitted.  Shared by :class:`PlanService`
-    and the fleet router (:class:`~repro.service.fleet.PlanServiceFleet`),
-    which fingerprints once at the front end and hands the result down.
+    canonicalisation entirely.  An entry keeps the digest and weak
+    references to the workload's task objects (or its graph), and is served
+    only while every reference still returns the very object submitted: an
+    id CPython recycled after its object died finds a dead reference, so
+    its workload is fingerprinted afresh and overwrites the entry.  Dead
+    entries age out of the ``capacity``-entry LRU.  Workloads are treated
+    as immutable once submitted.  A fleet's router
+    (:class:`~repro.service.fleet.PlanServiceFleet`) keeps the one memo a
+    fleet reads and hands each digest to its shard, whose memo stays empty.
     """
 
     def __init__(
@@ -134,7 +139,9 @@ class FingerprintMemo:
         self.config_signature = config_signature
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._memo: OrderedDict[tuple[int, ...], tuple[object, str]] = OrderedDict()
+        self._memo: OrderedDict[
+            tuple[int, ...], tuple[tuple[weakref.ref, ...], str]
+        ] = OrderedDict()
 
     @staticmethod
     def key_of(workload: PlannerInput) -> tuple[int, ...]:
@@ -143,29 +150,26 @@ class FingerprintMemo:
         return tuple(id(task) for task in workload)
 
     def fingerprint(self, workload: PlannerInput) -> str:
+        if isinstance(workload, ComputationGraph):
+            objects: tuple = (workload,)
+        else:
+            objects = workload = tuple(workload)
         key = self.key_of(workload)
         with self._lock:
             memoized = self._memo.get(key)
             if memoized is not None:
-                self._memo.move_to_end(key)
-                return memoized[1]
+                refs, fp = memoized
+                if all(ref() is obj for ref, obj in zip(refs, objects)):
+                    self._memo.move_to_end(key)
+                    return fp
         fp = fingerprint_workload(workload, self.cluster, self.config_signature)
-        self.remember(workload, fp, key=key)
-        return fp
-
-    def remember(
-        self,
-        workload: PlannerInput,
-        fingerprint: str,
-        key: "tuple[int, ...] | None" = None,
-    ) -> None:
-        """Seed the memo with an externally computed fingerprint."""
-        key = key if key is not None else self.key_of(workload)
+        refs = tuple(map(weakref.ref, objects))
         with self._lock:
-            self._memo[key] = (workload, fingerprint)
+            self._memo[key] = (refs, fp)
             self._memo.move_to_end(key)
             while len(self._memo) > self.capacity:
                 self._memo.popitem(last=False)
+        return fp
 
 
 class ServiceError(Exception):
@@ -366,19 +370,15 @@ class PlanService:
 
         ``fingerprint`` accepts the request's precomputed canonical
         fingerprint (a fleet router fingerprints once to pick the shard);
-        when given, the service trusts it and seeds its memo instead of
-        re-canonicalising.
+        when given, the service trusts it and neither re-canonicalises nor
+        reads or writes its own memo.
         """
         start = time.monotonic()
         metrics = get_metrics()
         with get_tracer().span("service.submit", category="service") as span:
             if not isinstance(workload, ComputationGraph):
                 workload = tuple(workload)  # snapshot mutable task sequences
-            if fingerprint is not None:
-                fp = fingerprint
-                self._fingerprints.remember(workload, fp)
-            else:
-                fp = self.fingerprint(workload)
+            fp = fingerprint if fingerprint is not None else self.fingerprint(workload)
             trace_id = self.trace_ids.mint(fp)
             self._submitted.trace_id = trace_id
             span.set(fingerprint=fp[:12], trace_id=trace_id)
@@ -736,64 +736,70 @@ class PlanService:
 
     def _worker_loop(self) -> None:
         planner = self._planner_factory()
-        while True:
-            item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            batch: list[_Request] = [item]
-            while len(batch) < self.max_batch_size:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _SHUTDOWN:
-                    self._queue.put(_SHUTDOWN)  # leave the signal for a peer
-                    break
-                batch.append(extra)
-            if self._cancel_pending:
-                for request in batch:
-                    self._fail_request(
-                        request,
-                        ServiceError("PlanService closed before planning started"),
-                    )
-                continue
-            # Group by fingerprint: duplicates that reached the queue (e.g.
-            # submitted between a cache eviction and re-planning) are planned
-            # once per batch.
-            grouped: dict[str, list[_Request]] = {}
+        # Each batch is served in its own frame, so an idle worker holds no
+        # request, nor its workload, while it waits for the next one.
+        while self._serve_batch(planner, self._queue.get()):
+            pass
+
+    def _serve_batch(self, planner: ExecutionPlanner, item) -> bool:
+        """Drain and serve one batch; ``False`` once this worker must stop."""
+        if item is _SHUTDOWN:
+            return False
+        batch: list[_Request] = [item]
+        while len(batch) < self.max_batch_size:
+            try:
+                extra = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            if extra is _SHUTDOWN:
+                self._queue.put(_SHUTDOWN)  # leave the signal for a peer
+                break
+            batch.append(extra)
+        if self._cancel_pending:
             for request in batch:
-                grouped.setdefault(request.fingerprint, []).append(request)
-            for fp, requests in grouped.items():
-                try:
-                    self._serve_group(planner, fp, requests)
-                except _WorkerCrashed as crash:
-                    # Simulated worker death: requeue the crashed group (and
-                    # any batch groups not yet served), hand the pool a
-                    # replacement thread, and let this one die.
-                    served = False
-                    for other_fp, other_requests in grouped.items():
-                        if other_fp == fp:
-                            served = True
-                            for request in crash.requests:
-                                self._emit(
-                                    EVENT_REQUEUED,
-                                    request.trace_id,
-                                    tenant=request.tenant,
-                                    attempt=request.attempt,
-                                )
-                                self._queue.put(request)
-                            continue
-                        if served:
-                            for request in other_requests:
-                                self._emit(
-                                    EVENT_REQUEUED,
-                                    request.trace_id,
-                                    tenant=request.tenant,
-                                    attempt=request.attempt,
-                                )
-                                self._queue.put(request)
-                    self._respawn_worker()
-                    return
+                self._fail_request(
+                    request,
+                    ServiceError("PlanService closed before planning started"),
+                )
+            return True
+        # Group by fingerprint: duplicates that reached the queue (e.g.
+        # submitted between a cache eviction and re-planning) are planned
+        # once per batch.
+        grouped: dict[str, list[_Request]] = {}
+        for request in batch:
+            grouped.setdefault(request.fingerprint, []).append(request)
+        for fp, requests in grouped.items():
+            try:
+                self._serve_group(planner, fp, requests)
+            except _WorkerCrashed as crash:
+                # Simulated worker death: requeue the crashed group (and
+                # any batch groups not yet served), hand the pool a
+                # replacement thread, and let this one die.
+                served = False
+                for other_fp, other_requests in grouped.items():
+                    if other_fp == fp:
+                        served = True
+                        for request in crash.requests:
+                            self._emit(
+                                EVENT_REQUEUED,
+                                request.trace_id,
+                                tenant=request.tenant,
+                                attempt=request.attempt,
+                            )
+                            self._queue.put(request)
+                        continue
+                    if served:
+                        for request in other_requests:
+                            self._emit(
+                                EVENT_REQUEUED,
+                                request.trace_id,
+                                tenant=request.tenant,
+                                attempt=request.attempt,
+                            )
+                            self._queue.put(request)
+                self._respawn_worker()
+                return False
+        return True
 
     def _respawn_worker(self) -> None:
         with self._lock:

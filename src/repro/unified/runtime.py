@@ -61,6 +61,7 @@ from repro.runtime.engine import RuntimeEngine
 from repro.service.cache import PlanCache
 from repro.service.fingerprint import fingerprint_workload
 from repro.service.incremental import IncrementalPlanner
+from repro.summation import left_sum
 from repro.unified.events import (
     PHASE_CHANGE,
     TASK_ARRIVAL,
@@ -378,11 +379,11 @@ class UnifiedRunResult:
 
     @property
     def training_seconds(self) -> float:
-        return sum(segment.seconds for segment in self.segments)
+        return left_sum(segment.seconds for segment in self.segments)
 
     @property
     def overhead_seconds(self) -> float:
-        return sum(outcome.overhead_seconds for outcome in self.outcomes)
+        return left_sum(outcome.overhead_seconds for outcome in self.outcomes)
 
     @property
     def total_seconds(self) -> float:
@@ -412,7 +413,7 @@ class UnifiedRunResult:
     def migration_bytes(self) -> float:
         """Bytes moved or restored over the run; not in :meth:`to_document`,
         which carries it per event in the migration documents."""
-        return sum(
+        return left_sum(
             outcome.migration.total_bytes
             for outcome in self.outcomes
             if outcome.migration is not None
@@ -420,7 +421,7 @@ class UnifiedRunResult:
 
     @property
     def migration_seconds(self) -> float:
-        return sum(
+        return left_sum(
             outcome.migration.total_seconds
             for outcome in self.outcomes
             if outcome.migration is not None
@@ -428,7 +429,7 @@ class UnifiedRunResult:
 
     @property
     def replan_charged_seconds(self) -> float:
-        return sum(
+        return left_sum(
             outcome.replan.charged_seconds
             for outcome in self.outcomes
             if outcome.replan is not None

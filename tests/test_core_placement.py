@@ -1,6 +1,7 @@
 """Unit tests for device placement (§3.5)."""
 
 import copy
+import tracemalloc
 
 import pytest
 
@@ -9,7 +10,12 @@ from repro.cluster.topology import make_cluster, make_heterogeneous_cluster
 from repro.core.allocator import ResourceAllocator
 from repro.core.contraction import contract_graph
 from repro.core.estimator import ScalabilityEstimator
-from repro.core.placement import LocalityAwarePlacer, PlacementError, SequentialPlacer
+from repro.core.placement import (
+    LocalityAwarePlacer,
+    PlacementError,
+    SequentialPlacer,
+    _BlockMemory,
+)
 from repro.core.scheduler import WavefrontScheduler
 from repro.costmodel.memory import MemoryModel, MemoryModelConfig
 from repro.costmodel.profiler import SyntheticProfiler
@@ -135,6 +141,28 @@ class TestLocalityAwarePlacer:
         assert fast.device_memory_bytes == reference.device_memory_bytes
         assert fast.oom_events == reference.oom_events
         assert fast.backtracks == reference.backtracks
+
+    def test_device_memory_retained_bytes_do_not_grow_with_device_count(self):
+        """The optimized placer reports memory per block, so a plan's map
+        costs the same bytes on 64 and on 4096 devices with one history."""
+
+        def retained(num_devices):
+            cluster = make_cluster(num_devices)
+            memory = _BlockMemory(cluster, tuple(map(tuple, cluster.islands())), 1.0)
+            memory.charge(((0, 8),), "shared", 2.0, 3.0)
+            tracemalloc.start()
+            try:
+                mapping = memory.per_device()
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert list(mapping.items()) == [
+                (device, 6.0 if device < 8 else 1.0) for device in range(num_devices)
+            ]
+            return size
+
+        small = retained(64)
+        assert retained(4096) <= small < 1024
 
     def test_memory_imbalance_metric(self, planned):
         cluster, metagraph, schedule = planned

@@ -26,9 +26,11 @@ still the fold-time one; the regenerated file differed from the old one in
 exactly those six values.
 
 The capture was generated on Python 3.11.  Like ``fig8_plan_identity.json``
-it holds where ``sum()`` adds floats one at a time (3.10, 3.11): the planner
-and the run totals sum floats with the builtin, and Python 3.12's compensated
-``sum()`` moves the last bits of some plan values.
+it also holds under Python 3.12's compensated ``sum()``: the planner, the run
+totals and this file's busy-time total add floats with
+:func:`repro.summation.left_sum`, one at a time as 3.10 and 3.11's ``sum()``
+does, and ``tests/test_summation.py`` replays both captures with a
+transcription of 3.12's ``sum()`` in place of the builtin.
 
 Regenerate (only after an intentional plan change) with::
 
@@ -62,6 +64,7 @@ from repro.elastic import (
 from repro.elastic.events import NODE_JOIN, ClusterEvent, random_failure_timeline
 from repro.models import multitask_clip_tasks, ofasys_tasks
 from repro.runtime.engine import RuntimeEngine
+from repro.summation import left_sum
 from repro.unified import (
     TASK_ARRIVAL,
     TASK_DEPARTURE,
@@ -121,7 +124,7 @@ def plan_record(name: str) -> dict[str, str]:
         "plan_doc_sha256": _sha256(document),
         "iteration_time": repr(result.iteration_time),
         "cluster_average_flops": repr(result.trace.cluster_average_flops()),
-        "device_busy_seconds": repr(sum(result.trace.device_busy_time().values())),
+        "device_busy_seconds": repr(left_sum(result.trace.device_busy_time().values())),
     }
 
 
