@@ -1,36 +1,63 @@
 """Request-scoped telemetry overhead on the plan service hot path.
 
-Runs the shared :func:`~repro.experiments.harness.run_service_benchmark`
-protocol twice on the same request stream — once bare, once with the full
-telemetry stack attached (a :class:`~repro.obs.TelemetryJournal`, an
-:class:`~repro.obs.SloTracker` and per-request tenant labels) — and gates
-the ratio of the two service wall-clock times.  Journaling a request is a
-handful of dict writes under a lock, so the instrumented run must stay
-within 5% of the bare one (the committed baseline holds the measured
-ratio; the gate is the drift against it).
+A run serves one request stream through a fresh
+:class:`~repro.service.PlanService` with
+:func:`~repro.experiments.harness.serve_request_stream`, the service side of
+the shared :func:`~repro.experiments.harness.run_service_benchmark`
+protocol: it submits every request (4 distinct CLIP task sets, the rest
+repeats), then waits for every future.  A bare run has no telemetry; an
+instrumented run has the full stack attached (a
+:class:`~repro.obs.TelemetryJournal`, an :class:`~repro.obs.SloTracker` and
+per-request tenant labels).  The gate is the ratio of their service
+wall-clock times.  Journaling a request is a handful of dict writes under a
+lock, so the instrumented run must stay within 5% of the bare one (the
+committed baseline holds the measured ratio; the gate is the drift against
+it).
 
 The ratio is the median of per-pair ratios over ``PAIRS`` pairs, each pair
-running the two sides back to back, alternating which runs first, so a slow
-stretch of the host lands on both sides of a pair instead of on one side's
-minimum.  The correctness side rides along as hard invariants: the journal
-must account for every request (submitted *and* resolved), never drop an
-event, and the SLO window must have recorded exactly one sample per request.
+one bare and one instrumented run back to back, alternating which runs
+first.  A run lasts 15 to 40 ms on a 2-vCPU host, and how its 4 solves land
+on the 4 worker threads moves it by more than 5%.  Pairing whole sides of
+8 runs each did not steady the ratio (6 reads of one tree spread from 0.89
+to 1.16): the host's slow stretches last about as long as a side, so they
+landed on one side of a pair.  Pairing single runs puts a slow stretch on
+both sides, and the median of 88 pairs is steady enough for the gate (6
+reads of one tree spread from 1.04 to 1.09).  The heap earlier work left is
+frozen first, so collections inside the runs scan only what the runs
+allocate, whatever ran before.  The correctness side rides along as hard
+invariants: the last instrumented run's journal must account for every
+request (submitted *and* resolved), never drop an event, and its SLO window
+must have recorded exactly one sample per request.
 """
 
+import gc
 from statistics import median
 
 from bench_utils import emit, paired_ratio_median
 
 from repro.bench import Metric, informational, invariant, register_benchmark
-from repro.experiments.harness import run_service_benchmark
+from repro.experiments.harness import serve_request_stream
 from repro.experiments.reporting import format_table
-from repro.experiments.workloads import clip_workload
+from repro.experiments.workloads import clip_workload, planning_request_stream
 from repro.obs import SloTracker, TelemetryJournal, attribution_report
 
 NUM_REQUESTS = 96
 NUM_UNIQUE = 6
 NUM_TENANTS = 3
-PAIRS = 11
+PAIRS = 88
+
+
+def _service_seconds(stream, cluster, journal=None, slo=None) -> float:
+    seconds, _, failed = serve_request_stream(
+        stream,
+        cluster,
+        journal=journal,
+        slo=slo,
+        num_tenants=NUM_TENANTS if journal is not None else 0,
+    )
+    if failed:
+        raise RuntimeError(f"{failed} telemetry-overhead requests failed")
+    return seconds
 
 
 @register_benchmark(
@@ -43,27 +70,23 @@ PAIRS = 11
 def bench_telemetry_overhead(ctx):
     workload = clip_workload(4, 8)
     ctx.tasks(workload)  # record the workload fingerprint for the result
+    cluster = workload.cluster()
+    stream, _ = planning_request_stream(workload.tasks(), NUM_REQUESTS, NUM_UNIQUE)
 
     def bare():
-        result = run_service_benchmark(
-            workload, num_requests=NUM_REQUESTS, num_unique=NUM_UNIQUE
-        )
-        return result.service_seconds, None
+        return _service_seconds(stream, cluster), None
 
     def instrumented():
         journal = TelemetryJournal()
         slo = SloTracker()
-        result = run_service_benchmark(
-            workload,
-            num_requests=NUM_REQUESTS,
-            num_unique=NUM_UNIQUE,
-            journal=journal,
-            slo=slo,
-            num_tenants=NUM_TENANTS,
-        )
-        return result.service_seconds, (journal, slo)
+        return _service_seconds(stream, cluster, journal, slo), (journal, slo)
 
-    timing = paired_ratio_median(bare, instrumented, PAIRS)
+    gc.collect()
+    gc.freeze()
+    try:
+        timing = paired_ratio_median(bare, instrumented, PAIRS)
+    finally:
+        gc.unfreeze()
     journal, slo = timing.second
     median_bare = median(timing.first_seconds)
     median_instrumented = median(timing.second_seconds)
@@ -84,7 +107,10 @@ def bench_telemetry_overhead(ctx):
                     f"{report['complete']}/{report['requests']} complete",
                 ],
             ],
-            title=f"telemetry overhead, {workload.describe()}",
+            title=(
+                f"telemetry overhead, {workload.describe()}, "
+                f"{PAIRS} pairs of {NUM_REQUESTS}-request runs"
+            ),
         ),
     )
 

@@ -217,16 +217,52 @@ def run_service_benchmark(
             planner.plan(request, fingerprint=fingerprints[id(request)])
     uncached_seconds = span.seconds
 
+    service_seconds, service, failed = serve_request_stream(
+        stream,
+        cluster,
+        num_workers=num_workers,
+        max_batch_size=max_batch_size,
+        journal=journal,
+        slo=slo,
+        num_tenants=num_tenants,
+    )
+    return ServiceBenchmarkResult(
+        num_requests=len(stream),
+        num_unique=num_unique,
+        uncached_seconds=uncached_seconds,
+        service_seconds=service_seconds,
+        stats=service.stats,
+        failed_requests=failed,
+    )
+
+
+def serve_request_stream(
+    stream: Sequence,
+    cluster,
+    num_workers: int = 4,
+    max_batch_size: int = 8,
+    journal=None,
+    slo=None,
+    num_tenants: int = 0,
+) -> tuple[float, PlanService, int]:
+    """The service side of :func:`run_service_benchmark`.
+
+    Submits every request of ``stream`` to a fresh :class:`PlanService` (a
+    planner per worker, a cache that holds every request's plan) and waits
+    for every future.  Returns the wall-clock seconds from the first submit
+    to the last resolution, the closed service and the number of requests
+    that failed.
+    """
     service = PlanService(
         lambda: ExecutionPlanner(cluster),
-        cache=PlanCache(capacity=max(64, num_unique)),
+        cache=PlanCache(capacity=max(64, len(stream))),
         num_workers=num_workers,
         max_batch_size=max_batch_size,
         journal=journal,
         slo=slo,
     )
     with service:
-        with tracer.timed(
+        with get_tracer().timed(
             "bench.plan_service", category="bench", requests=len(stream)
         ) as span:
             futures = [
@@ -239,16 +275,8 @@ def run_service_benchmark(
                 for index, request in enumerate(stream)
             ]
             wait(futures)
-        service_seconds = span.seconds
-
-    return ServiceBenchmarkResult(
-        num_requests=len(stream),
-        num_unique=num_unique,
-        uncached_seconds=uncached_seconds,
-        service_seconds=service_seconds,
-        stats=service.stats,
-        failed_requests=sum(1 for f in futures if f.exception() is not None),
-    )
+    failed = sum(1 for future in futures if future.exception() is not None)
+    return span.seconds, service, failed
 
 
 @dataclass

@@ -40,18 +40,46 @@ Canonicalisation rules:
 All documents are hashed as compact JSON with sorted keys via SHA-256.  The
 hashed request document is ``{"cluster": ..., "config": ..., "workload":
 {"tasks": [...]}}`` (or ``{"graph": ...}``), but :func:`fingerprint_workload`
-never builds it: it serializes each task document once, keeps only the
-string, sorts the strings and splices them between the topology's cached
-:meth:`~repro.cluster.topology.ClusterTopology.canonical_json` and the config
-JSON.  Holding one task document at a time also keeps a fresh fingerprint's
-net allocations of garbage-collected containers small, so it rarely triggers
-a collection of its own.
+never builds it: it builds each task document's string, byte for byte what
+``_compact_json(canonical_task(task))`` returns, sorts the strings and feeds
+them to a SHA-256 state already fed with the request's prefix (the
+topology's cached
+:meth:`~repro.cluster.topology.ClusterTopology.canonical_json` and the
+config JSON).  :func:`canonical_task` and :func:`canonical_tasks` stay the
+definition, and the tests' oracle.
+
+Bounded, process-wide tables make a fresh fingerprint pay only for what the
+process has not seen:
+
+* **Operator fragments.**  A task's string is spliced from one compact JSON
+  fragment per operator (``_compact_json(canonical_operator(op))``), kept
+  under the operator's canonical fields *and their types*, so values that
+  compare equal but encode differently (``1``, ``1.0`` and ``True``;
+  ``0.0`` and ``-0.0``) never share an entry.  A key is stored only when
+  its fields are of the plain JSON scalar types and none is NaN, and a
+  float zero's sign is part of it; anything else is encoded afresh each
+  time, so what the encoder rejects (``numpy.int64``) still raises.  The
+  rest of a task document (batch size, flows, weight) is kept the same way
+  in a second table, and module names go through the same encoder.  The
+  tables hold strings, numbers and types, never an operator or a task, and
+  each starts over when it reaches its bound.
+* **Request prefixes.**  ``'{"cluster":' + topology JSON + ',"config":' +
+  config JSON + ',"workload":'`` is 56 KB at 4096 GPUs.  A SHA-256 state fed
+  with it is kept per (topology JSON, config JSON) pair and copied per
+  request, here rather than on the topology, which must stay picklable.
+
+The tables rely only on dict reads and writes, which are atomic under the
+GIL, so concurrent fingerprints need no lock: two threads that miss
+together store the same string.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping, Sequence, Union
 
 from repro.cluster.topology import ClusterTopology
@@ -68,6 +96,25 @@ FingerprintInput = Union[ComputationGraph, Sequence[SpindleTask]]
 _compact_json = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
+
+#: Operator fragments, keyed by :func:`_operators_json`.  The table starts
+#: over at its bound, about 0.4 MB: the model zoo has 225 (CLIP-10), 127
+#: (OFASys-7) and 181 (QWen-VAL) distinct operator structures.
+_FRAGMENTS: dict[tuple, str] = {}
+_FRAGMENT_LIMIT = 1024
+#: Task shells (a task document without its modules), keyed by
+#: :func:`_shell_json`.  Weights drawn per request never repeat, so this
+#: table turns over under such a stream while the fragments stay.
+_SHELLS: dict[tuple, str] = {}
+_SHELL_LIMIT = 256
+#: Types whose equal values encode alike (bar a float zero's sign), so the
+#: only types a stored key may hold.
+_EXACT_TYPES = frozenset((str, int, float, bool, type(None)))
+
+#: SHA-256 states fed with a request's prefix, keyed by (topology JSON,
+#: config JSON); at the bound the table starts over.
+_PREFIXES: dict[tuple[str, str], Any] = {}
+_PREFIX_LIMIT = 16
 
 
 def canonical_operator(op: Operator, include_name: bool = False) -> list[Any]:
@@ -86,21 +133,24 @@ def canonical_operator(op: Operator, include_name: bool = False) -> list[Any]:
     return doc
 
 
+def _canonical_flows(task: SpindleTask) -> list[list[Any]]:
+    return sorted(
+        [src, dst, volume if volume is not None else -1.0]
+        for src, dst, volume in task.flows
+    )
+
+
 def canonical_task(task: SpindleTask) -> dict[str, Any]:
     """Order- and name-insensitive structural document of one task."""
     modules = {
         name: [canonical_operator(op) for op in module.operators]
         for name, module in sorted(task.modules.items())
     }
-    flows = sorted(
-        [src, dst, volume if volume is not None else -1.0]
-        for src, dst, volume in task.flows
-    )
     return {
         "batch_size": task.batch_size,
         "weight": task.weight,
         "modules": modules,
-        "flows": flows,
+        "flows": _canonical_flows(task),
     }
 
 
@@ -138,6 +188,154 @@ def hash_document(document: Any) -> str:
     return hashlib.sha256(_compact_json(document).encode("utf-8")).hexdigest()
 
 
+def _remember(
+    table: dict[tuple, str], limit: int, key: tuple, values: tuple, encode
+) -> str:
+    """Encode what ``table`` missed under ``key``, built from ``values`` and
+    their types, and store the text when the key is exact.
+
+    A key with a float zero is stored with the zeros' signs appended, so it
+    never matches a key of the other sign; such a key misses its plain form
+    first.  Otherwise a stored key holds only :data:`_EXACT_TYPES` and no NaN
+    (which equals nothing, so its entry could never be hit).
+    """
+    floats = [value for value in values if type(value) is float]
+    if 0.0 in floats:
+        key += tuple(math.copysign(1.0, value) for value in floats if value == 0.0)
+        text = table.get(key)
+        if text is not None:
+            return text
+    text = encode()
+    if _EXACT_TYPES.issuperset(map(type, values)) and all(
+        value == value for value in floats
+    ):
+        if len(table) >= limit:
+            table.clear()
+        table[key] = text
+    return text
+
+
+def _operators_json(operators: Sequence[Operator]) -> str:
+    """The ``,``-joined ``_compact_json(canonical_operator(op))`` of
+    ``operators``, from :data:`_FRAGMENTS`.
+
+    Each key is the fields :func:`canonical_operator` reads, then their
+    types.  The loop runs once per operator of every fresh request, so the
+    key is built inline rather than by a call per operator.
+    """
+    fragments = []
+    for op in operators:
+        op_type = op.op_type
+        modality = op.modality
+        batch, seq_len, hidden = op.input_spec.as_tuple()
+        flops = op.flops
+        param_bytes = op.param_bytes
+        activation_bytes = op.activation_bytes
+        param_key = op.param_key
+        key = (
+            op_type,
+            modality,
+            batch,
+            seq_len,
+            hidden,
+            flops,
+            param_bytes,
+            activation_bytes,
+            param_key,
+            type(op_type),
+            type(modality),
+            type(batch),
+            type(seq_len),
+            type(hidden),
+            type(flops),
+            type(param_bytes),
+            type(activation_bytes),
+            type(param_key),
+        )
+        fragment = _FRAGMENTS.get(key)
+        if fragment is None:
+            fragment = _remember(
+                _FRAGMENTS,
+                _FRAGMENT_LIMIT,
+                key,
+                key[:9],
+                lambda: _compact_json(canonical_operator(op)),
+            )
+        fragments.append(fragment)
+    return ",".join(fragments)
+
+
+def _shell_json(task: SpindleTask) -> str:
+    """``_compact_json`` of ``task``'s document without its modules, from
+    :data:`_SHELLS`, keyed by batch size, weight and flows, then their types."""
+    values = (task.batch_size, task.weight, *chain.from_iterable(task.flows))
+    key = values + tuple(map(type, values))
+    shell = _SHELLS.get(key)
+    if shell is None:
+        shell = _remember(
+            _SHELLS,
+            _SHELL_LIMIT,
+            key,
+            values,
+            lambda: _compact_json(
+                {
+                    "batch_size": task.batch_size,
+                    "flows": _canonical_flows(task),
+                    "weight": task.weight,
+                }
+            ),
+        )
+    return shell
+
+
+def _task_json(task: SpindleTask) -> str:
+    """``_compact_json(canonical_task(task))``, spliced from fragments.
+
+    The document's keys sort as ``batch_size``, ``flows``, ``modules``,
+    ``weight``, so the modules go into the shell before ``,"weight":``,
+    which is the shell's last such substring when the weight is a JSON
+    scalar (its text has no unescaped quote).  A task the splice cannot
+    build (a container weight, a module name that is not a string, an
+    unhashable field, a value the encoder rejects) is serialized by the
+    definition, which raises what it raises.
+    """
+    if type(task.weight) in _EXACT_TYPES:
+        try:
+            shell = _shell_json(task)
+            cut = shell.rindex(',"weight":')
+            parts = [shell[:cut], ',"modules":{']
+            separator = ""
+            for name, module in sorted(task.modules.items()):
+                parts += (
+                    separator,
+                    encode_basestring_ascii(name),
+                    ":[",
+                    _operators_json(module.operators),
+                    "]",
+                )
+                separator = ","
+        except (TypeError, ValueError):
+            pass
+        else:
+            parts += ("}", shell[cut:])
+            return "".join(parts)
+    return _compact_json(canonical_task(task))
+
+
+def _prefix_state(cluster: ClusterTopology, config_json: str) -> Any:
+    """A SHA-256 state fed with the request document up to its workload."""
+    topology_json = cluster.canonical_json()
+    key = (topology_json, config_json)
+    state = _PREFIXES.get(key)
+    if state is None:
+        prefix = '{"cluster":' + topology_json + ',"config":' + config_json
+        state = hashlib.sha256((prefix + ',"workload":').encode("utf-8"))
+        if len(_PREFIXES) >= _PREFIX_LIMIT:
+            _PREFIXES.clear()
+        _PREFIXES[key] = state
+    return state.copy()
+
+
 def fingerprint_workload(
     workload: FingerprintInput,
     cluster: ClusterTopology,
@@ -148,19 +346,14 @@ def fingerprint_workload(
     Equal to :func:`hash_document` of the request document described in the
     module docstring, built in one serialization pass.
     """
+    # Each body ends with the brace that closes the request document.
     if isinstance(workload, ComputationGraph):
-        body = '{"graph":' + _compact_json(canonical_graph(workload)) + "}"
+        body = '{"graph":' + _compact_json(canonical_graph(workload)) + "}}"
     else:
-        # A generator, so each task document is dropped once serialized.
-        tasks = sorted(_compact_json(canonical_task(task)) for task in workload)
-        body = '{"tasks":[' + ",".join(tasks) + "]}"
-    payload = (
-        '{"cluster":'
-        + cluster.canonical_json()
-        + ',"config":'
-        + _compact_json(dict(config) if config is not None else {})
-        + ',"workload":'
-        + body
-        + "}"
+        tasks = sorted(_task_json(task) for task in workload)
+        body = '{"tasks":[' + ",".join(tasks) + "]}}"
+    state = _prefix_state(
+        cluster, _compact_json(dict(config) if config is not None else {})
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    state.update(body.encode("utf-8"))
+    return state.hexdigest()

@@ -207,6 +207,27 @@ class _WorkerCrashed(Exception):
         self.requests = requests
 
 
+class _WorkerPlanner:
+    """A worker's planner, built by the factory on the worker's first solve.
+
+    The build runs inside that solve attempt's guard, so a factory that
+    raises fails the attempt like a failed solve (retried, then degraded,
+    under a resilience policy; resolved ``error`` without one) and the
+    worker keeps serving; the next attempt calls the factory again.
+    """
+
+    __slots__ = ("_factory", "_planner")
+
+    def __init__(self, factory: Callable[[], ExecutionPlanner]) -> None:
+        self._factory = factory
+        self._planner: ExecutionPlanner | None = None
+
+    def plan(self, workload: PlannerInput, **kwargs) -> ExecutionPlan:
+        if self._planner is None:
+            self._planner = self._factory()
+        return self._planner.plan(workload, **kwargs)
+
+
 class PlanService:
     """A concurrent, deduplicating, caching front-end to the execution planner.
 
@@ -215,10 +236,11 @@ class PlanService:
     planner:
         Either a ready :class:`ExecutionPlanner` shared by all workers, or a
         zero-argument factory of one; with a factory every worker thread
-        builds its own planner instance (useful when profiling noise is
-        enabled, since the synthetic profiler's RNG is per-planner).  The
-        service reads its cluster and configuration from this planner (the
-        factory's first product), its *prototype*.
+        builds its own planner instance on its first solve (useful when
+        profiling noise is enabled, since the synthetic profiler's RNG is
+        per-planner), and a factory that raises there fails that solve
+        attempt.  The service reads its cluster and configuration from this
+        planner (the factory's first product), its *prototype*.
     cache:
         Plan cache consulted before planning and populated after; a default
         cache of 64 entries is created when omitted.  A fleet passes every
@@ -735,13 +757,13 @@ class PlanService:
         )
 
     def _worker_loop(self) -> None:
-        planner = self._planner_factory()
+        planner = _WorkerPlanner(self._planner_factory)
         # Each batch is served in its own frame, so an idle worker holds no
         # request, nor its workload, while it waits for the next one.
         while self._serve_batch(planner, self._queue.get()):
             pass
 
-    def _serve_batch(self, planner: ExecutionPlanner, item) -> bool:
+    def _serve_batch(self, planner: _WorkerPlanner, item) -> bool:
         """Drain and serve one batch; ``False`` once this worker must stop."""
         if item is _SHUTDOWN:
             return False
@@ -887,7 +909,7 @@ class PlanService:
 
     # ----------------------------------------------------------------- solving
     def _serve_group(
-        self, planner: ExecutionPlanner, fp: str, requests: list[_Request]
+        self, planner: _WorkerPlanner, fp: str, requests: list[_Request]
     ) -> None:
         """Serve one fingerprint group: retries, then the degradation ladder.
 

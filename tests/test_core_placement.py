@@ -1,6 +1,7 @@
 """Unit tests for device placement (§3.5)."""
 
 import copy
+import gc
 import tracemalloc
 
 import pytest
@@ -150,6 +151,10 @@ class TestLocalityAwarePlacer:
             cluster = make_cluster(num_devices)
             memory = _BlockMemory(cluster, tuple(map(tuple, cluster.islands())), 1.0)
             memory.charge(((0, 8),), "shared", 2.0, 3.0)
+            # A full collection empties the interpreter's free lists, so both
+            # sizes count the map's tuples; whether one came off a free list
+            # otherwise depended on what ran before.
+            gc.collect()
             tracemalloc.start()
             try:
                 mapping = memory.per_device()

@@ -1,9 +1,16 @@
 """Tests for canonical workload fingerprints (plan-cache keys)."""
 
+import copy
+import gc
 import hashlib
 import json
+import pickle
 import random
+import sys
+import threading
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +30,7 @@ from repro.graph.graph import ComputationGraph
 from repro.graph.ops import Operator, TensorSpec
 from repro.graph.task import SpindleTask
 from repro.models import multitask_clip_tasks, ofasys_tasks, qwen_val_tasks
+from repro.service import fingerprint as fingerprint_module
 from repro.service.fingerprint import (
     canonical_graph,
     canonical_task,
@@ -368,3 +376,223 @@ class TestCompactSortOrder:
         assert fingerprint_workload(workload, cluster) == oracle_fingerprint(
             workload, cluster
         )
+
+
+# ----------------------------------------------------------------- exactness
+
+#: Numbers that compare equal but encode differently (``0.0``/``-0.0``;
+#: ``1``/``1.0``/``True``/``numpy.float64(1.0)``), that equal nothing
+#: (``nan``), that JSON spells specially (``inf``), and one the encoder
+#: rejects (``numpy.int64``).  A fragment key that dropped a type or a
+#: zero's sign would serve one of them another's fragment.
+_EQUAL_BUT_DISTINCT = st.sampled_from(
+    [
+        0.0,
+        -0.0,
+        1,
+        1.0,
+        True,
+        float("nan"),
+        float("inf"),
+        np.float64(1.0),
+        np.float64(-0.0),
+        np.int64(1),
+    ]
+)
+#: Positive tensor dimensions of every numeric type ``TensorSpec`` accepts.
+_DIMENSIONS = st.sampled_from([1, 1.0, True, 4, 4.0, np.float64(4.0)])
+
+
+@st.composite
+def equal_but_distinct_tasks(draw, index):
+    """Tasks over few names and equal-but-distinct numbers, so structures
+    that share a fragment key up to ``==`` recur across examples."""
+    name = f"task{index}"
+    task = SpindleTask(name)
+    # Set after construction, which would coerce them to int and float.
+    task.batch_size = draw(st.sampled_from([1, 1.0, True, 8]))
+    task.weight = draw(_EQUAL_BUT_DISTINCT)
+    for m in range(draw(st.integers(min_value=1, max_value=2))):
+        ops = [
+            Operator(
+                name=f"{name}.m{m}.{i}",
+                op_type=draw(st.sampled_from(["layer", "loss"])),
+                task=name,
+                modality="m",
+                input_spec=TensorSpec(
+                    batch=draw(_DIMENSIONS), seq_len=draw(_DIMENSIONS), hidden=8
+                ),
+                flops=draw(_EQUAL_BUT_DISTINCT),
+                param_bytes=draw(_EQUAL_BUT_DISTINCT),
+                activation_bytes=draw(_EQUAL_BUT_DISTINCT),
+                param_key=draw(st.sampled_from([None, "k"])),
+            )
+            for i in range(draw(st.integers(min_value=1, max_value=3)))
+        ]
+        task.add_module(f"m{m}", ops)
+    if len(task.modules) == 2:
+        task.add_flow("m0", "m1", draw(st.none() | _EQUAL_BUT_DISTINCT))
+    return task
+
+
+@st.composite
+def equal_but_distinct_task_lists(draw):
+    count = draw(st.integers(min_value=1, max_value=4))
+    return [draw(equal_but_distinct_tasks(i)) for i in range(count)]
+
+
+class TestFragmentTableExactness:
+    @settings(max_examples=400, deadline=None)
+    @given(tasks=equal_but_distinct_task_lists())
+    def test_digest_equals_the_oracle_across_examples(self, tasks):
+        # The fragment tables are deliberately carried across examples: an
+        # entry an earlier example stored under an inexact key would be
+        # served to an equal-but-distinct structure here.
+        cluster = make_cluster(4, devices_per_node=4)
+        try:
+            expected = oracle_fingerprint(tasks, cluster)
+        except TypeError:
+            # numpy.int64: the encoder rejects it on both paths, every time.
+            with pytest.raises(TypeError):
+                fingerprint_workload(tasks, cluster)
+            return
+        assert fingerprint_workload(tasks, cluster) == expected
+        assert fingerprint_workload(tasks, cluster) == expected
+
+    @pytest.mark.parametrize(
+        "seen, fresh",
+        [
+            (1.0, 1),
+            (1, True),
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (1.0, np.float64(1.0)),
+        ],
+    )
+    def test_equal_values_of_another_type_or_sign_miss(self, seen, fresh):
+        cluster = make_cluster(4, devices_per_node=4)
+        for flops in (seen, fresh):
+            task = SpindleTask("t")
+            task.add_module(
+                "m",
+                [
+                    Operator(
+                        name="t.m.0",
+                        op_type="layer",
+                        task="t",
+                        modality="m",
+                        input_spec=TensorSpec(batch=1, seq_len=4, hidden=8),
+                        flops=flops,
+                        param_bytes=flops,
+                    )
+                ],
+            )
+            assert fingerprint_workload([task], cluster) == oracle_fingerprint(
+                [task], cluster
+            )
+
+    def test_values_the_encoder_rejects_still_raise(self):
+        cluster = make_cluster(4, devices_per_node=4)
+        tasks = []
+        for flops in (5, np.int64(5)):
+            task = SpindleTask("t")
+            spec = TensorSpec(batch=1, seq_len=4, hidden=8)
+            task.add_module(
+                "m",
+                [Operator("t.m.0", "layer", "t", "m", spec, flops=flops)],
+            )
+            tasks.append(task)
+        fingerprint_workload(tasks[:1], cluster)  # stores the int's fragment
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                fingerprint_workload(tasks[1:], cluster)
+
+    def test_tables_stay_within_their_bounds(self):
+        cluster = make_cluster(4, devices_per_node=4)
+        limit = fingerprint_module._FRAGMENT_LIMIT
+        task = SpindleTask("t")
+        spec = TensorSpec(batch=1, seq_len=4, hidden=8)
+        task.add_module(
+            "m",
+            [
+                Operator(f"t.m.{i}", "layer", "t", "m", spec, flops=float(i + 1))
+                for i in range(limit + limit // 2)
+            ],
+        )
+        assert fingerprint_workload([task], cluster) == oracle_fingerprint(
+            [task], cluster
+        )
+        assert 0 < len(fingerprint_module._FRAGMENTS) <= limit
+        small = _task("w", module_layers={"audio": 1})
+        for i in range(fingerprint_module._SHELL_LIMIT + 10):
+            small.weight = 1.0 + i
+            fingerprint_workload([small], cluster)
+            assert len(fingerprint_module._SHELLS) <= fingerprint_module._SHELL_LIMIT
+        for nodes in range(1, fingerprint_module._PREFIX_LIMIT + 5):
+            fingerprint_workload([small], make_cluster(nodes, devices_per_node=1))
+            assert (
+                len(fingerprint_module._PREFIXES) <= fingerprint_module._PREFIX_LIMIT
+            )
+
+    def test_tables_hold_no_operator_or_task(self):
+        cluster = make_cluster(16)
+        built = multitask_clip_tasks(3)
+        witness = weakref.ref(built[0].operators[0])
+        fingerprint_workload(built, cluster)
+        for table in (fingerprint_module._FRAGMENTS, fingerprint_module._SHELLS):
+            held = [item for key in table for item in key] + list(table.values())
+            assert all(
+                type(item) in (str, int, float, bool, type(None), type) for item in held
+            )
+        del built
+        gc.collect()
+        assert witness() is None
+
+    def test_concurrent_fingerprints_equal_the_oracle(self):
+        cluster = make_cluster(64)
+        expected = oracle_fingerprint(ofasys_tasks(7), cluster)
+        fingerprint_module._FRAGMENTS.clear()
+        fingerprint_module._SHELLS.clear()
+        fingerprint_module._PREFIXES.clear()
+        builds = [ofasys_tasks(7) for _ in range(6)]
+        start = threading.Barrier(len(builds))
+        digests: list[str] = []
+
+        def fingerprint(tasks):
+            start.wait()
+            for _ in range(3):
+                digests.append(fingerprint_workload(tasks, cluster))
+
+        threads = [threading.Thread(target=fingerprint, args=(b,)) for b in builds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads' misses and stores
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert digests == [expected] * (3 * len(builds))
+
+
+class TestPrefixTable:
+    def test_topology_fingerprinted_first_still_pickles_and_copies(self):
+        cluster = make_cluster(32)
+        tasks = [_task("a")]
+        digest = fingerprint_workload(tasks, cluster)
+        for twin in (pickle.loads(pickle.dumps(cluster)), copy.deepcopy(cluster)):
+            assert twin == cluster
+            assert fingerprint_workload(tasks, twin) == digest
+        assert copy.copy(cluster) == cluster
+
+    def test_config_and_topology_both_key_the_prefix(self):
+        tasks = [_task("a")]
+        small = make_cluster(4, devices_per_node=4)
+        large = make_cluster(8, devices_per_node=4)
+        for config in (None, {"placement": "locality"}, {"placement": "sequential"}):
+            for cluster in (small, large, small):
+                assert fingerprint_workload(tasks, cluster, config) == (
+                    oracle_fingerprint(tasks, cluster, config)
+                )

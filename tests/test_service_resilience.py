@@ -1,5 +1,7 @@
 """Tests for the hardened plan service: retries, breaker, ladder, shedding."""
 
+from concurrent.futures import wait
+
 import pytest
 
 from repro.cluster.topology import make_cluster
@@ -27,6 +29,7 @@ from repro.service import (
     ResiliencePolicy,
     ServiceOverloadError,
 )
+from repro.obs import SloTracker
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -222,6 +225,89 @@ class TestRetries:
             response = service.request(tiny_tasks, timeout=30.0)
         assert response.outcome == RESPONSE_SERVED
         assert stalls == [pytest.approx(0.2)]
+
+
+class FlakyFactory:
+    """A planner factory whose calls in ``failing`` raise ``MemoryError``.
+
+    Call 1 builds the service's prototype, so call 2 is the first worker
+    planner.
+    """
+
+    def __init__(self, cluster, failing) -> None:
+        self.cluster = cluster
+        self.failing = failing
+        self.calls = 0
+
+    def __call__(self) -> ExecutionPlanner:
+        self.calls += 1
+        if self.calls in self.failing:
+            raise MemoryError(f"factory call {self.calls}")
+        return ExecutionPlanner(self.cluster)
+
+
+#: Seconds within which every future of a failing factory must resolve.
+FACTORY_FAILURE_BOUND = 10.0
+
+
+class TestPlannerFactoryFailures:
+    def test_factory_failing_once_fails_one_request_and_serves_the_next(
+        self, cluster, tiny_tasks
+    ):
+        factory = FlakyFactory(cluster, failing={2})
+        with PlanService(factory, num_workers=1) as service:
+            first = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+            assert first.outcome == RESPONSE_ERROR
+            assert "factory call 2" in first.error
+            second = service.request(tiny_tasks[:1], timeout=FACTORY_FAILURE_BOUND)
+            assert second.outcome == RESPONSE_SERVED
+            assert second.tier == TIER_FRESH
+            assert sum(worker.is_alive() for worker in service._workers) == 1
+        assert factory.calls == 3
+
+    def test_factory_failing_once_is_retried_under_a_policy(
+        self, cluster, tiny_tasks
+    ):
+        factory = FlakyFactory(cluster, failing={2})
+        policy = ResiliencePolicy(
+            max_attempts=2, backoff_base_seconds=0.0, backoff_jitter=0.0
+        )
+        with PlanService(factory, num_workers=1, resilience=policy) as service:
+            response = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+        assert response.outcome == RESPONSE_SERVED
+        assert response.tier == TIER_FRESH
+        assert response.attempts == 2
+
+    @pytest.mark.parametrize("with_policy", [False, True])
+    def test_factory_always_failing_resolves_every_request_error(
+        self, cluster, tiny_tasks, with_policy
+    ):
+        factory = FlakyFactory(cluster, failing=range(2, 10**6))
+        policy = (
+            ResiliencePolicy(
+                max_attempts=2,
+                backoff_base_seconds=0.0,
+                backoff_jitter=0.0,
+                allow_reference=False,
+            )
+            if with_policy
+            else None
+        )
+        slo = SloTracker()
+        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
+        with PlanService(
+            factory, num_workers=1, resilience=policy, slo=slo
+        ) as service:
+            futures = [service.submit(workload) for workload in workloads]
+            _, pending = wait(futures, timeout=FACTORY_FAILURE_BOUND)
+            assert not pending
+            assert all(future.exception() is not None for future in futures)
+            responses = [service._response_of(future) for future in futures]
+        assert [r.outcome for r in responses] == [RESPONSE_ERROR] * len(workloads)
+        report = slo.report()
+        assert report.count == len(workloads)
+        assert report.error_rate == 1.0
+        assert service.stats.errors == len(workloads)
 
 
 class TestDegradationLadder:
