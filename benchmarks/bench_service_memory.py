@@ -37,7 +37,7 @@ from repro.service import OUTCOME_HIT, TIER_CACHE, PlanServiceFleet
 
 GPUS = 64
 WINDOWS = 8
-#: The fleet router's memo capacity (``FingerprintMemo``'s default): the
+#: The fleet's memo capacity (``FingerprintMemo``'s default): the
 #: stream carries this many fresh requests, so a memo that keeps workloads
 #: alive is full of fresh ones by the end.
 FRESH_REQUESTS = 1024

@@ -867,71 +867,9 @@ def _write_telemetry(journal, slo, journal_path) -> None:
         print("\n" + slo.render())
 
 
-def _run_fleet_campaign(
-    args: argparse.Namespace,
-    workload,
-    *,
-    scenario: str,
-    num_clients: int,
-    journal,
-    slo,
-) -> int:
-    """Shared fleet-bench/serve-bench body: replay, report, gate, exit code."""
-    from repro.experiments.load_replay import (
-        SCENARIOS,
-        LoadReplayError,
-        run_load_replay,
-    )
-
-    if scenario not in SCENARIOS:
-        return _fail(
-            f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}"
-        )
-    if args.rate <= 0:
-        return _fail("--rate must be positive")
-    if args.shards <= 0:
-        return _fail("--shards must be positive")
-    try:
-        result = run_load_replay(
-            workload,
-            num_requests=args.requests,
-            num_unique=args.unique,
-            rate=args.rate,
-            scenario=scenario,
-            real_shards=args.shards,
-            num_clients=num_clients,
-            seed=args.seed,
-            journal=journal,
-            slo=slo,
-        )
-    except LoadReplayError as exc:
-        return _fail(str(exc))
-    print(
-        format_table(
-            ["metric", "value"],
-            result.as_rows(),
-            title=f"plan-service fleet replay, {workload.describe()}",
-        )
-    )
-    print(
-        f"\nsimulated scaling 1->4 shards: {result.scaling_ratio(1, 4):.2f}x"
-        f"   1->8 shards: {result.scaling_ratio(1, 8):.2f}x"
-    )
-    _write_telemetry(journal, slo, args.journal)
-    if result.failed_requests:
-        return _fail(
-            f"{result.failed_requests} of {result.num_requests} fleet "
-            "requests failed"
-        )
-    if result.payload_match_rate < 1.0:
-        return _fail(
-            f"{result.payload_mismatches} served plan payloads differ from "
-            "the uncached single-planner reference"
-        )
-    return 0
-
-
 def _cmd_fleet_bench(args: argparse.Namespace) -> int:
+    from repro.experiments.load_replay import run_load_replay
+
     if args.requests <= 0:
         return _fail("--requests must be positive")
     if args.unique <= 0:
@@ -948,14 +886,34 @@ def _cmd_fleet_bench(args: argparse.Namespace) -> int:
         from repro.obs import SloTracker
 
         slo = SloTracker()
-    return _run_fleet_campaign(
-        args,
+    result = run_load_replay(
         workload,
-        scenario=args.scenario,
+        num_requests=args.requests,
+        num_unique=args.unique,
         num_clients=args.clients,
+        seed=args.seed,
         journal=journal,
         slo=slo,
     )
+    print(
+        format_table(
+            ["metric", "value"],
+            result.as_rows(),
+            title=f"plan-service fleet replay, {workload.describe()}",
+        )
+    )
+    _write_telemetry(journal, slo, args.journal)
+    if result.failed_requests:
+        return _fail(
+            f"{result.failed_requests} of {result.num_requests} fleet "
+            "requests failed"
+        )
+    if result.payload_match_rate < 1.0:
+        return _fail(
+            f"{result.payload_mismatches} served plan payloads differ from "
+            "the uncached single-planner reference"
+        )
+    return 0
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
@@ -979,16 +937,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         from repro.obs import SloTracker
 
         slo = SloTracker()
-    if args.shards:
-        # --shards N routes the whole run through the fleet replay protocol.
-        return _run_fleet_campaign(
-            args,
-            workload,
-            scenario="flash-crowd",
-            num_clients=4,
-            journal=journal,
-            slo=slo,
-        )
     if args.fault_profile is not None:
         from repro.faults import FAULT_PROFILES
 
@@ -1156,28 +1104,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="track and print the sliding-window SLO table for the run",
     )
-    serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run the N-shard fleet replay protocol instead of the single "
-        "service (see 'repro fleet-bench' for the full knob set)",
-    )
-    serve_parser.add_argument(
-        "--rate",
-        type=float,
-        default=20000.0,
-        metavar="R",
-        help="offered request rate (req/s) of the fleet replay schedule "
-        "(only with --shards)",
-    )
     serve_parser.set_defaults(func=_cmd_serve_bench)
 
     fleet_parser = subparsers.add_parser(
         "fleet-bench",
-        help="replay a flash-crowd request stream against the sharded plan-"
-        "service fleet, with a deterministic virtual-time shard sweep",
+        help="replay a request stream against the plan-service fleet from "
+        "closed-loop clients and audit every served payload",
         epilog=DOCS_ARCHITECTURE,
     )
     _add_workload_arguments(fleet_parser)
@@ -1188,25 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--unique", type=int, default=48, help="distinct workloads in the stream"
     )
     fleet_parser.add_argument(
-        "--scenario",
-        default="flash-crowd",
-        help="arrival schedule shape: steady or flash-crowd",
-    )
-    fleet_parser.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="shard count of the live fleet driven in phase 1",
-    )
-    fleet_parser.add_argument(
-        "--rate",
-        type=float,
-        default=20000.0,
-        metavar="R",
-        help="offered request rate (req/s) of the arrival schedule",
-    )
-    fleet_parser.add_argument(
         "--clients",
         type=int,
         default=4,
@@ -1214,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="closed-loop client threads driving the live fleet",
     )
     fleet_parser.add_argument(
-        "--seed", type=int, default=0, help="seed of the stream and schedule"
+        "--seed", type=int, default=0, help="seed of the request stream"
     )
     fleet_parser.add_argument(
         "--journal",

@@ -19,8 +19,8 @@ of a dotted name and a sorted label set, rendered canonically as
 ===================================  ======================================
 
 :class:`Histogram` is the package's one latency store: the registry,
-:class:`~repro.service.stats.ServiceStats`, the SLO windows and the
-simulated fleet replay all read their percentiles from it.
+:class:`~repro.service.stats.ServiceStats` and the SLO windows all read
+their percentiles from it.
 
 :meth:`MetricsRegistry.snapshot` freezes the current values;
 :meth:`MetricsSnapshot.diff` subtracts an earlier snapshot so a caller can

@@ -191,18 +191,10 @@ class TraceIdGenerator:
 
     The ordinal is a monotonic counter assigned under a lock in submission
     order, so a serial same-seed replay mints identical IDs.
-
-    ``namespace`` scopes the ordinal stream: a fleet gives every shard its
-    own generator namespaced by the shard ordinal
-    (``<fp prefix>-<namespace>-<seed>-<ordinal>``), so per-shard counters
-    stay deterministic under fingerprint-range routing — two shards minting
-    concurrently never race on one counter, and a request's ID depends only
-    on its shard and its position in that shard's submission order.
     """
 
-    def __init__(self, seed: int = 0, namespace: str | None = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.namespace = namespace
         self._lock = threading.Lock()
         self._next = 0
 
@@ -211,8 +203,6 @@ class TraceIdGenerator:
             ordinal = self._next
             self._next += 1
         prefix = fingerprint[:8] or "anon"
-        if self.namespace is not None:
-            return f"{prefix}-{self.namespace}-{self.seed}-{ordinal:06d}"
         return f"{prefix}-{self.seed}-{ordinal:06d}"
 
 

@@ -3,21 +3,19 @@
 Planning is a pure function of (task set, cluster, planner configuration), so
 identical and overlapping requests can be memoized and served concurrently
 instead of recomputed serially.  The serving front end is
-:class:`~repro.service.fleet.PlanServiceFleet`: :class:`PlanService` shards
-over one :class:`PlanCache`, persisted through :class:`PlanStore`
-partitions.
+:class:`~repro.service.fleet.PlanServiceFleet`: one :class:`PlanService`
+over one :class:`PlanCache`, which a :class:`PlanStore` can persist.
 
 * :mod:`repro.service.fingerprint` — canonical, order/naming-insensitive
   content hashes of planning requests,
 * :mod:`repro.service.cache` — a thread-safe LRU plan cache serving
   byte-identical serialized plans, with payload checksums,
-* :mod:`repro.service.server` — one plan-service shard: a bounded worker
-  pool draining its queue in batches, single-flight deduplication and
-  (opt-in) retries, deadlines, circuit breaking, load shedding and graceful
+* :mod:`repro.service.server` — the plan service: a bounded worker pool
+  draining one queue in batches, single-flight deduplication and (opt-in)
+  retries, deadlines, circuit breaking, load shedding and graceful
   degradation,
-* :mod:`repro.service.fleet` — the fingerprint-range-sharded fleet of plan
-  services behind one routing front end, with one shared cache and
-  per-shard store partitions,
+* :mod:`repro.service.fleet` — the serving front end, one plan service over
+  a 256-entry cache,
 * :mod:`repro.service.resilience` — the resilience policy, circuit breaker
   and per-request :class:`~repro.service.resilience.PlanResponse` record,
 * :mod:`repro.service.store` — the crash-safe persistent plan store (atomic
@@ -39,12 +37,7 @@ from repro.service.fingerprint import (
     fingerprint_workload,
     hash_document,
 )
-from repro.service.fleet import (
-    FleetError,
-    PlanServiceFleet,
-    jump_consistent_hash,
-    shard_for_fingerprint,
-)
+from repro.service.fleet import PlanServiceFleet
 from repro.service.incremental import (
     IncrementalPlanner,
     IncrementalStats,
@@ -90,7 +83,6 @@ __all__ = [
     "CircuitBreaker",
     "DEGRADED_TIERS",
     "FingerprintMemo",
-    "FleetError",
     "IncrementalPlanner",
     "IncrementalStats",
     "OUTCOME_COALESCED",
@@ -124,7 +116,5 @@ __all__ = [
     "canonical_tasks",
     "fingerprint_workload",
     "hash_document",
-    "jump_consistent_hash",
     "payload_checksum",
-    "shard_for_fingerprint",
 ]

@@ -6,9 +6,9 @@ mechanics live in :mod:`repro.service.server`):
 * :class:`ResiliencePolicy` — the knobs: per-request deadline, bounded retry
   with exponential backoff plus seeded jitter, circuit-breaker thresholds,
   bounded-queue admission control, and the reference-rung toggle.
-* :class:`CircuitBreaker` — a per-service (hence, in a
-  :class:`~repro.service.fleet.PlanServiceFleet`, per-shard) closed → open →
-  half-open breaker over consecutive solve failures.
+* :class:`CircuitBreaker` — a per-service (hence per
+  :class:`~repro.service.fleet.PlanServiceFleet`) closed → open → half-open
+  breaker over consecutive solve failures.
 * :class:`PlanResponse` — the per-request resolution record: exactly one
   outcome (``served`` / ``degraded`` / ``shed`` / ``error``) plus the ladder
   tier that produced it, which is the unit the chaos invariants quantify

@@ -69,7 +69,6 @@ from typing import Any, Callable, Mapping
 from repro.cluster.topology import ClusterTopology
 from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner, PlannerInput
-from repro.core.serialization import plan_to_json
 from repro.faults.injection import NULL_INJECTOR, InjectedWorkerCrash
 from repro.graph.graph import ComputationGraph
 from repro.obs import get_metrics, get_tracer
@@ -124,9 +123,8 @@ class FingerprintMemo:
     id CPython recycled after its object died finds a dead reference, so
     its workload is fingerprinted afresh and overwrites the entry.  Dead
     entries age out of the ``capacity``-entry LRU.  Workloads are treated
-    as immutable once submitted.  A fleet's router
-    (:class:`~repro.service.fleet.PlanServiceFleet`) keeps the one memo a
-    fleet reads and hands each digest to its shard, whose memo stays empty.
+    as immutable once submitted.  Each :class:`PlanService`, and so each
+    :class:`~repro.service.fleet.PlanServiceFleet`, keeps one.
     """
 
     def __init__(
@@ -243,8 +241,8 @@ class PlanService:
         planner (the factory's first product), its *prototype*.
     cache:
         Plan cache consulted before planning and populated after; a default
-        cache of 64 entries is created when omitted.  A fleet passes every
-        shard its one shared cache.
+        cache of 64 entries is created when omitted.  A fleet passes a
+        256-entry cache.
     num_workers:
         Size of the bounded worker pool.
     max_batch_size:
@@ -267,15 +265,11 @@ class PlanService:
         faults land in the same stream.
     slo:
         Optional :class:`~repro.obs.slo.SloTracker` fed one sample per
-        resolved request (outcome, latency, tenant, topology).
-    trace_ids:
-        Optional :class:`~repro.obs.telemetry.TraceIdGenerator` (a fleet
-        passes each shard one namespaced by its ordinal); by default a
-        private generator seeded with ``trace_seed``.
-    label:
-        Scope label stamped on journal events and SLO samples (``topology``
-        field); defaults to the topology-signature prefix.  A fleet passes
-        ``<topology>/s<ordinal>`` so per-shard rollups stay separable.
+        resolved request (outcome, latency, tenant, topology).  Journal
+        events and SLO samples carry the topology-signature prefix as their
+        ``topology`` label.
+    trace_seed:
+        Seed of the service's :class:`~repro.obs.telemetry.TraceIdGenerator`.
     """
 
     def __init__(
@@ -283,16 +277,13 @@ class PlanService:
         planner: ExecutionPlanner | Callable[[], ExecutionPlanner],
         *,
         cache: PlanCache | None = None,
-        stats: ServiceStats | None = None,
         num_workers: int = 2,
         max_batch_size: int = 8,
         resilience: ResiliencePolicy | None = None,
         fault_injector=None,
         journal: TelemetryJournal | None = None,
         slo=None,
-        trace_ids: TraceIdGenerator | None = None,
         trace_seed: int = 0,
-        label: str | None = None,
     ) -> None:
         if num_workers <= 0:
             raise ServiceError("num_workers must be positive")
@@ -309,7 +300,7 @@ class PlanService:
                 "planner must be an ExecutionPlanner or a factory of one"
             )
         self.cache = cache if cache is not None else PlanCache(capacity=64)
-        self.stats = stats if stats is not None else ServiceStats()
+        self.stats = ServiceStats()
         self.max_batch_size = max_batch_size
         if resilience is None and fault_injector is not None:
             resilience = ResiliencePolicy()
@@ -317,9 +308,7 @@ class PlanService:
         self.injector = fault_injector if fault_injector is not None else NULL_INJECTOR
         self.journal = journal
         self.slo = slo
-        self.trace_ids = (
-            trace_ids if trace_ids is not None else TraceIdGenerator(trace_seed)
-        )
+        self.trace_ids = TraceIdGenerator(trace_seed)
         # Journal-less collaborators inherit the service's journal so cache
         # quarantines and injected faults land in the same event stream as
         # the request lifecycles they belong to.
@@ -330,9 +319,7 @@ class PlanService:
                 self.injector.journal = journal
         self._reference: ExecutionPlanner | None = None
         self._reference_lock = threading.Lock()
-        self._topology_label = (
-            label if label is not None else self._prototype.cluster.signature()[:12]
-        )
+        self._topology_label = self._prototype.cluster.signature()[:12]
         self.breaker = CircuitBreaker(
             failure_threshold=(
                 resilience.breaker_failure_threshold if resilience else 0
@@ -367,11 +354,7 @@ class PlanService:
         return self._fingerprints.fingerprint(workload)
 
     def submit(
-        self,
-        workload: PlannerInput,
-        *,
-        tenant: str | None = None,
-        fingerprint: str | None = None,
+        self, workload: PlannerInput, *, tenant: str | None = None
     ) -> Future:
         """Enqueue a planning request; returns a future yielding the plan.
 
@@ -389,18 +372,13 @@ class PlanService:
         is the leader's, so ``future._repro_trace_id`` stays the leader's
         too).  ``tenant`` is an optional accounting label carried through
         the journal, the :class:`PlanResponse` and the SLO tracker.
-
-        ``fingerprint`` accepts the request's precomputed canonical
-        fingerprint (a fleet router fingerprints once to pick the shard);
-        when given, the service trusts it and neither re-canonicalises nor
-        reads or writes its own memo.
         """
         start = time.monotonic()
         metrics = get_metrics()
         with get_tracer().span("service.submit", category="service") as span:
             if not isinstance(workload, ComputationGraph):
                 workload = tuple(workload)  # snapshot mutable task sequences
-            fp = fingerprint if fingerprint is not None else self.fingerprint(workload)
+            fp = self.fingerprint(workload)
             trace_id = self.trace_ids.mint(fp)
             self._submitted.trace_id = trace_id
             span.set(fingerprint=fp[:12], trace_id=trace_id)
@@ -500,7 +478,6 @@ class PlanService:
         timeout: float | None = None,
         *,
         tenant: str | None = None,
-        fingerprint: str | None = None,
     ) -> ExecutionPlan:
         """Synchronous convenience wrapper around :meth:`submit`.
 
@@ -509,7 +486,7 @@ class PlanService:
         (or hits the cache once the abandoned solve lands) instead of
         latching onto the abandoned future forever.
         """
-        future = self.submit(workload, tenant=tenant, fingerprint=fingerprint)
+        future = self.submit(workload, tenant=tenant)
         try:
             return future.result(timeout=timeout)
         except FutureTimeoutError:
@@ -522,7 +499,6 @@ class PlanService:
         timeout: float | None = None,
         *,
         tenant: str | None = None,
-        fingerprint: str | None = None,
     ) -> PlanResponse:
         """Resolve one request into its :class:`PlanResponse`.
 
@@ -534,7 +510,7 @@ class PlanService:
         A coalesced follower gets the leader's plan, tier, outcome and
         attempts under its own ``trace_id`` and ``tenant``.
         """
-        future = self.submit(workload, tenant=tenant, fingerprint=fingerprint)
+        future = self.submit(workload, tenant=tenant)
         trace_id = self._submitted.trace_id
         try:
             future.result(timeout=timeout)
@@ -559,17 +535,6 @@ class PlanService:
         if response.trace_id != trace_id:
             response = replace(response, trace_id=trace_id, tenant=tenant)
         return response
-
-    def serialized_plan(
-        self, workload: PlannerInput, timeout: float | None = None
-    ) -> str:
-        """Return the serialized plan document, byte-identical across hits."""
-        fp = self.fingerprint(workload)
-        payload = self.cache.get_payload(fp)
-        if payload is not None:
-            return payload
-        plan = self.plan(workload, timeout=timeout)
-        return self.cache.get_payload(fp) or plan_to_json(plan)
 
     @property
     def num_workers(self) -> int:
@@ -821,6 +786,12 @@ class PlanService:
                             self._queue.put(request)
                 self._respawn_worker()
                 return False
+            except Exception as exc:  # noqa: BLE001 - outside the solve guard
+                # A fault past the solve (a cache fill, say) fails only its
+                # group, whose futures carry the exception and traceback;
+                # this worker goes on with the rest of the batch.
+                for request in requests:
+                    self._fail_request(request, exc)
         return True
 
     def _respawn_worker(self) -> None:
@@ -915,7 +886,9 @@ class PlanService:
 
         Raises :class:`_WorkerCrashed` (to the worker loop) when an injected
         worker crash is scheduled and retry budget remains; every other path
-        resolves all futures of the group.
+        resolves all futures of the group.  Any other exception that escapes
+        (from outside the solve attempt's guard) resolves the group's
+        pending futures as errors in :meth:`_serve_batch`.
         """
         tracer = get_tracer()
         metrics = get_metrics()

@@ -82,14 +82,8 @@ class PlanStore:
         self.quarantined: dict[str, str] = {}
 
     # ------------------------------------------------------------------ save
-    def save(
-        self, cache: PlanCache, *, fingerprints: "list[str] | None" = None
-    ) -> Path:
+    def save(self, cache: PlanCache) -> Path:
         """Atomically snapshot ``cache``'s payloads.
-
-        With ``fingerprints``, only those entries are written — the
-        partitioned-save path used by fleet shards, where each store owns
-        one fingerprint range of a shared cache.
 
         The write goes to ``<path>.tmp``, is fsynced, and is renamed over
         the snapshot in one step; any failure before the rename — injected
@@ -97,11 +91,8 @@ class PlanStore:
         untouched, and the fsync guarantees the renamed file's contents
         survive a crash immediately after.
         """
-        selection = (
-            cache.fingerprints() if fingerprints is None else fingerprints
-        )
         entries: dict[str, dict[str, str]] = {}
-        for fingerprint in selection:
+        for fingerprint in cache.fingerprints():
             # Persisting is not serving: read without counting a hit or
             # moving the entry to the LRU end.
             payload = cache.peek_payload(fingerprint)

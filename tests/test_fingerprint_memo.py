@@ -1,10 +1,9 @@
 """The fingerprint memo serves live task objects and holds none of them alive.
 
-A fleet fingerprints each request once, in its router's memo; the shards take
-that digest and never touch their own memo.  An entry keeps weak references
-to its workload's objects, so a workload its client dropped is collected, and
-an id CPython hands to a new object can never return the dead workload's
-fingerprint.
+A fleet fingerprints each request once, in its one service's memo.  An entry
+keeps weak references to its workload's objects, so a workload its client
+dropped is collected, and an id CPython hands to a new object can never
+return the dead workload's fingerprint.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def test_a_dropped_workload_is_collected_behind_a_service(cluster):
 
 
 def test_a_dropped_workload_is_collected_behind_a_fleet(cluster):
-    with PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2) as fleet:
+    with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
         assert _request_and_drop(fleet)() is None
 
 
@@ -74,16 +73,16 @@ def test_a_recycled_key_never_returns_the_dead_workloads_digest(cluster, monkeyp
     assert memo.fingerprint(second) == expected
 
 
-def test_shard_memos_stay_empty_behind_a_fleet(cluster):
+def test_a_fleet_keeps_one_memo_entry_per_workload(cluster):
     tasks = _tasks()
-    with PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=4) as fleet:
+    with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
         windows = [tasks, tasks[:1], tasks[1:], _tasks(batch=16), _tasks(batch=32)]
         for window in windows:
             fleet.plan(window, timeout=30.0)
             fleet.request(window, timeout=30.0)
             fleet.submit(window).result(timeout=30.0)
-        assert len(fleet._fingerprints._memo) == len(windows)
-        assert [len(shard._fingerprints._memo) for shard in fleet.shards] == [0] * 4
+        (service,) = fleet.shards
+        assert len(service._fingerprints._memo) == len(windows)
 
 
 @pytest.mark.parametrize("front", ["service", "fleet"])
@@ -99,7 +98,7 @@ def test_resubmitting_live_tasks_fingerprints_once(cluster, monkeypatch, front):
     if front == "service":
         front_end = PlanService(ExecutionPlanner(cluster), num_workers=1)
     else:
-        front_end = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)
+        front_end = PlanServiceFleet(lambda: ExecutionPlanner(cluster))
     with front_end:
         for _ in range(3):
             front_end.plan(tasks, timeout=30.0)

@@ -1,11 +1,12 @@
-"""Tests for the fingerprint-sharded plan-service fleet.
+"""Tests for the serving fleet: one plan service behind the fleet's name.
 
-Covers the routing function (jump consistent hash and its minimal-movement
-guarantee), cross-shard single-flight coalescing, reshard byte-identity,
-partitioned persistence with parallel warm start, and same-seed telemetry
-journal determinism.
+Covers that a fleet serves the planner's plans, coalesces one fingerprint
+across entry points and concurrent clients, serves its service's cache,
+memo, breaker and telemetry sinks, and journals, counts and serves exactly
+what a bare service does.
 """
 
+import json
 import threading
 from concurrent.futures import wait
 
@@ -14,21 +15,17 @@ import pytest
 from repro.cluster.topology import make_cluster
 from repro.core.plan import ExecutionPlan
 from repro.core.planner import ExecutionPlanner
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
-from repro.faults.plan import PERSIST_ERROR
-from repro.obs import TelemetryJournal
+from repro.obs import SloTracker, TelemetryJournal
 from repro.service import (
     OUTCOME_COALESCED,
     OUTCOME_MISS,
-    FleetError,
+    PlanCache,
     PlanService,
     PlanServiceFleet,
-    PlanCache,
-    PlanStore,
-    jump_consistent_hash,
-    payload_checksum,
-    shard_for_fingerprint,
+    ResiliencePolicy,
+    ServiceError,
 )
+from repro.service.resilience import BREAKER_OPEN
 
 
 @pytest.fixture
@@ -37,16 +34,19 @@ def cluster():
 
 
 class CountingFactory:
-    """Planner factory whose planners share one invocation counter."""
+    """Planner factory counting the planners it builds and their solves."""
 
     def __init__(self, cluster, gate: threading.Event | None = None) -> None:
         self.cluster = cluster
         self.gate = gate
+        self.builds = 0
         self.calls = 0
         self._lock = threading.Lock()
 
     def __call__(self) -> ExecutionPlanner:
         factory = self
+        with self._lock:
+            self.builds += 1
 
         class _Planner(ExecutionPlanner):
             def plan(self, workload, **kwargs) -> ExecutionPlan:
@@ -59,70 +59,19 @@ class CountingFactory:
         return _Planner(self.cluster)
 
 
-class TestJumpConsistentHash:
-    def test_range_and_determinism(self):
-        for key in (0, 1, 17, 2**31, 2**63 - 1, 2**64 - 1):
-            for buckets in (1, 2, 4, 8, 100):
-                bucket = jump_consistent_hash(key, buckets)
-                assert 0 <= bucket < buckets
-                assert bucket == jump_consistent_hash(key, buckets)
-
-    def test_single_bucket_is_zero(self):
-        assert all(jump_consistent_hash(k, 1) == 0 for k in range(50))
-
-    def test_minimal_movement_on_growth(self):
-        """Growing N -> N+1 only ever moves keys into the new bucket."""
-        keys = [hash(("key", i)) & (2**64 - 1) for i in range(500)]
-        for buckets in range(1, 9):
-            moved = 0
-            for key in keys:
-                before = jump_consistent_hash(key, buckets)
-                after = jump_consistent_hash(key, buckets + 1)
-                if after != before:
-                    assert after == buckets  # only into the new bucket
-                    moved += 1
-            # Expected movement is ~1/(N+1) of the keyspace.
-            assert moved < len(keys) * 2.5 / (buckets + 1)
-
-    def test_rejects_bad_bucket_count(self):
-        with pytest.raises(FleetError):
-            jump_consistent_hash(42, 0)
-
-    def test_fingerprint_routing_spreads(self):
-        import hashlib
-
-        fingerprints = [
-            hashlib.sha256(str(i).encode()).hexdigest() for i in range(256)
-        ]
-        census = [0] * 8
-        for fingerprint in fingerprints:
-            census[shard_for_fingerprint(fingerprint, 8)] += 1
-        assert all(count > 0 for count in census)
-
-    def test_non_hex_fingerprints_still_route(self):
-        assert 0 <= shard_for_fingerprint("not-hex-at-all!", 4) < 4
-        assert shard_for_fingerprint("", 4) == 0
+def _canonical(payload: str) -> str:
+    document = json.loads(payload)
+    document.pop("planning_report", None)
+    return json.dumps(document, sort_keys=True)
 
 
 class TestFleetServing:
     def test_plan_matches_direct_planner(self, cluster, tiny_tasks):
         direct = ExecutionPlanner(cluster).plan(tiny_tasks)
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=3
-        ) as fleet:
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
             served = fleet.plan(tiny_tasks, timeout=30.0)
         assert served.fingerprint == direct.fingerprint
         assert served.schedule.makespan == pytest.approx(direct.schedule.makespan)
-
-    def test_identical_fingerprints_route_to_one_shard(self, cluster, tiny_tasks):
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4
-        ) as fleet:
-            fleet.plan(tiny_tasks, timeout=30.0)
-            fleet.plan(list(reversed(tiny_tasks)), timeout=30.0)
-            census = fleet.shard_census()
-        assert sum(census) == 2
-        assert max(census) == 2  # canonical fingerprint -> same shard twice
 
     def test_coalescing_across_entry_points(self, cluster, tiny_tasks):
         """The same fingerprint submitted in two task orders coalesces onto
@@ -130,7 +79,7 @@ class TestFleetServing:
         one solve fleet-wide."""
         gate = threading.Event()
         factory = CountingFactory(cluster, gate)
-        fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
+        fleet = PlanServiceFleet(factory, num_workers=2)
         try:
             direct = fleet.submit(tiny_tasks)
             reordered = fleet.submit(list(reversed(tiny_tasks)))
@@ -151,7 +100,7 @@ class TestFleetServing:
         future."""
         gate = threading.Event()
         factory = CountingFactory(cluster, gate)
-        fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
+        fleet = PlanServiceFleet(factory, num_workers=2)
         futures = []
         lock = threading.Lock()
 
@@ -182,12 +131,12 @@ class TestFleetServing:
     def test_distinct_workloads_resolve_to_their_own_plans(
         self, cluster, tiny_tasks
     ):
-        """Workloads in flight together on different shards each resolve to
-        the plan of their own fingerprint."""
+        """Workloads in flight together each resolve to the plan of their
+        own fingerprint."""
         workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
         gate = threading.Event()
         factory = CountingFactory(cluster, gate)
-        fleet = PlanServiceFleet(factory, num_shards=4, num_workers=2)
+        fleet = PlanServiceFleet(factory, num_workers=2)
         try:
             futures = [fleet.submit(workload) for workload in workloads]
             assert len({id(future) for future in futures}) == len(workloads)
@@ -202,248 +151,132 @@ class TestFleetServing:
 
     def test_fleet_payloads_match_single_service(self, cluster, tiny_tasks):
         workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4
-        ) as fleet:
-            fleet_payloads = {
-                fleet.fingerprint(w): fleet.serialized_plan(w, timeout=30.0)
-                for w in workloads
-            }
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
+            fleet_payloads = {}
+            for workload in workloads:
+                fingerprint = fleet.plan(workload, timeout=30.0).fingerprint
+                fleet_payloads[fingerprint] = fleet.cache.get_payload(fingerprint)
         with PlanService(
             lambda: ExecutionPlanner(cluster), cache=PlanCache()
         ) as service:
             for workload in workloads:
                 service.plan(workload, timeout=30.0)
-            from repro.experiments.harness import _canonical_plan_payload
-            import json
-
-            def canon(text: str) -> str:
-                return json.dumps(
-                    {
-                        k: v
-                        for k, v in json.loads(text).items()
-                        if k != "planning_report"
-                    },
-                    sort_keys=True,
-                )
-
             for fingerprint, payload in fleet_payloads.items():
                 reference = service.cache.get_payload(fingerprint)
                 assert reference is not None
-                assert canon(payload) == canon(reference)
+                assert _canonical(payload) == _canonical(reference)
 
-    def test_shared_cache_serves_all_shards(self, cluster, tiny_tasks):
+    def test_repeat_requests_serve_identical_payload_bytes(
+        self, cluster, tiny_tasks
+    ):
         cache = PlanCache(capacity=16)
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=2, cache=cache
-        ) as fleet:
-            first = fleet.serialized_plan(tiny_tasks, timeout=30.0)
-            second = fleet.serialized_plan(tiny_tasks, timeout=30.0)
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster), cache=cache) as fleet:
+            fingerprint = fleet.plan(tiny_tasks, timeout=30.0).fingerprint
+            first = cache.get_payload(fingerprint)
+            fleet.plan(list(reversed(tiny_tasks)), timeout=30.0)
+            second = cache.get_payload(fingerprint)
         assert first.encode() == second.encode()
-        assert cache.stats.puts >= 1
+        assert cache.stats.puts == 1
 
-    def test_default_cache_is_one_plan_cache_of_the_fleet_capacity(self, cluster):
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=3, capacity=5
-        ) as fleet:
+    def test_the_fleet_is_one_service_with_its_sinks(self, cluster):
+        factory = CountingFactory(cluster)
+        journal, slo = TelemetryJournal(), SloTracker()
+        with PlanServiceFleet(factory, capacity=5, journal=journal, slo=slo) as fleet:
+            assert fleet.shards == (fleet.service,)
             assert type(fleet.cache) is PlanCache
             assert fleet.cache.capacity == 5
-            assert all(shard.cache is fleet.cache for shard in fleet.shards)
-            assert fleet.stores == [] and fleet.persist() == 0  # no store_dir
+            service = fleet.service
+            assert fleet.cache is service.cache and fleet.stats is service.stats
+            assert fleet.journal is service.journal is journal
+            assert fleet.slo is service.slo is slo
+            assert service.num_workers == 2  # PlanService's default
+            # The service's prototype is the only planner built up front;
+            # each worker builds its own on its first solve.
+            assert factory.builds == 1
 
-    def test_closed_fleet_rejects_requests(self, cluster, tiny_tasks):
-        fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)
-        fleet.close()
-        with pytest.raises(FleetError):
-            fleet.submit(tiny_tasks)
-
-    @pytest.mark.parametrize("entry_point", ["plan", "request"])
+    @pytest.mark.parametrize("entry_point", ["submit", "plan", "request"])
     def test_closed_fleet_rejects_every_entry_point(
         self, cluster, tiny_tasks, entry_point
     ):
-        fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=2)
+        fleet = PlanServiceFleet(lambda: ExecutionPlanner(cluster))
         fleet.close()
-        with pytest.raises(FleetError):
-            getattr(fleet, entry_point)(tiny_tasks, timeout=30.0)
-        assert fleet.shard_census() == [0, 0]
+        with pytest.raises(ServiceError, match="closed"):
+            getattr(fleet, entry_point)(tiny_tasks)
 
-    def test_invalid_shard_count_rejected(self, cluster):
-        with pytest.raises(FleetError):
-            PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_shards=0)
-
-
-class TestTraceDeterminism:
-    def test_per_shard_trace_namespaces(self, cluster, tiny_tasks):
-        journal = TelemetryJournal()
+    def test_resilience_reaches_the_one_breaker(self, cluster):
+        policy = ResiliencePolicy(max_attempts=2, breaker_failure_threshold=1)
         with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, journal=journal
+            lambda: ExecutionPlanner(cluster), num_workers=1, resilience=policy
         ) as fleet:
-            fleet.plan(tiny_tasks, timeout=30.0)
-            shard = fleet.shard_of(fleet.fingerprint(tiny_tasks))
-        trace_ids = {
-            event["trace_id"]
-            for event in journal.events()
-            if "trace_id" in event
-        }
-        assert trace_ids
-        for trace_id in trace_ids:
-            assert f"-s{shard}-" in trace_id
+            (service,) = fleet.shards
+            assert service.resilience is policy
+            service.breaker.record_failure()
+            assert service.breaker.state == BREAKER_OPEN
 
-    def test_same_seed_runs_produce_identical_journals(self, cluster, tiny_tasks):
-        """Two same-seed fleets serving the same serial stream journal
-        byte-identically (trace IDs namespaced by shard ordinal, no
-        wall-clock in the journal)."""
-        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks, tiny_tasks[1:]]
 
-        def run() -> str:
-            journal = TelemetryJournal()
-            with PlanServiceFleet(
+class TestSameAsBareService:
+    def test_fleet_journals_exactly_what_a_bare_service_journals(
+        self, cluster, tiny_tasks
+    ):
+        """One serial stream of misses and hits, one tenant, one trace seed
+        and one cache capacity: the fleet's journal, counts and payloads are
+        the bare service's."""
+        workloads = [
+            tiny_tasks,
+            tiny_tasks[:1],
+            tiny_tasks,
+            list(reversed(tiny_tasks)),
+            tiny_tasks[1:],
+            tiny_tasks[:1],
+        ]
+
+        def run(front_end_type):
+            journal, slo = TelemetryJournal(), SloTracker()
+            cache = PlanCache(capacity=8)
+            with front_end_type(
                 lambda: ExecutionPlanner(cluster),
-                num_shards=4,
+                cache=cache,
                 num_workers=1,
                 journal=journal,
+                slo=slo,
                 trace_seed=11,
-            ) as fleet:
-                for workload in workloads:
-                    fleet.plan(workload, timeout=30.0)
-            return journal.dumps()
+            ) as front_end:
+                responses = [
+                    front_end.request(workload, timeout=30.0, tenant="t")
+                    for workload in workloads
+                ]
+            stats = front_end.stats.as_dict()
+            counts = {
+                key: stats[key]
+                for key in ("requests", "hits", "misses", "coalesced", "errors")
+            }
+            report = slo.report()
+            payloads = {
+                response.fingerprint: _canonical(
+                    cache.get_payload(response.fingerprint)
+                )
+                for response in responses
+            }
+            return (
+                journal.dumps(),
+                counts,
+                (report.count, report.availability, len(slo.tenants())),
+                [(r.trace_id, r.outcome, r.tier) for r in responses],
+                payloads,
+            )
 
-        assert run() == run()
-
-
-class TestPartitionedPersistence:
-    def _serve(self, fleet, workloads):
-        return {
-            fleet.fingerprint(w): fleet.serialized_plan(w, timeout=30.0)
-            for w in workloads
+        fleet = run(PlanServiceFleet)
+        bare = run(PlanService)
+        assert fleet[0] == bare[0]
+        assert fleet[1] == bare[1] == {
+            "requests": 6,
+            "hits": 3,
+            "misses": 3,
+            "coalesced": 0,
+            "errors": 0,
         }
-
-    def test_persist_and_parallel_warm_start(self, cluster, tiny_tasks, tmp_path):
-        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
-        ) as fleet:
-            payloads = self._serve(fleet, workloads)
-        assert sorted(p.name for p in tmp_path.glob("shard-*.json")) == [
-            f"shard-{i:02d}.json" for i in range(4)
-        ]
-
-        factory = CountingFactory(cluster)
-        with PlanServiceFleet(
-            factory, num_shards=4, store_dir=tmp_path
-        ) as warmed:
-            assert warmed.warm_started == len(payloads)
-            reserved = self._serve(warmed, workloads)
-        assert factory.calls == 0  # every request served from the warm cache
-        assert reserved == payloads
-
-    def test_persist_keeps_the_shared_cache_lru_order(self, cluster, tiny_tasks, tmp_path):
-        """Saving shard by shard neither counts hits nor regroups the LRU
-        order by owning shard, which would change the next eviction."""
-        plan = ExecutionPlanner(cluster).plan(tiny_tasks)
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
-        ) as fleet:
-            fingerprints = [payload_checksum(str(i)) for i in range(8)]
-            for fingerprint in fingerprints:
-                fleet.cache.put(fingerprint, plan)
-            assert len({fleet.shard_of(fp) for fp in fingerprints}) > 1
-            assert fleet.persist() == 4
-            assert fleet.cache.fingerprints() == fingerprints
-            assert fleet.cache.stats.hits == 0
-
-    def test_reshard_returns_byte_identical_payloads(
-        self, cluster, tiny_tasks, tmp_path
-    ):
-        """A shard-count change re-routes every fingerprint but serves the
-        exact bytes the old fleet persisted."""
-        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
-        ) as fleet:
-            payloads = self._serve(fleet, workloads)
-
-        for new_count in (2, 8):
-            factory = CountingFactory(cluster)
-            with PlanServiceFleet(
-                factory, num_shards=new_count, store_dir=tmp_path
-            ) as resharded:
-                assert self._serve(resharded, workloads) == payloads
-            assert factory.calls == 0
-
-        # After the 8-shard fleet persisted, exactly its partitions remain.
-        assert sorted(p.name for p in tmp_path.glob("shard-*.json")) == [
-            f"shard-{i:02d}.json" for i in range(8)
-        ]
-
-    def test_persist_repartitions_for_current_owners(
-        self, cluster, tiny_tasks, tmp_path
-    ):
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
-        ) as fleet:
-            fleet.plan(tiny_tasks, timeout=30.0)
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=2, store_dir=tmp_path
-        ) as shrunk:
-            assert shrunk.warm_started == 1
-        # The shrunk fleet rewrote the directory down to its own partitions.
-        names = sorted(p.name for p in tmp_path.glob("shard-*.json"))
-        assert names == ["shard-00.json", "shard-01.json"]
-
-    def test_persist_survives_one_failing_partition(
-        self, cluster, tiny_tasks, tmp_path
-    ):
-        """An I/O error on one partition is absorbed: the other partitions
-        are still written and the failed one keeps its previous snapshot."""
-        fleet = PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=4, store_dir=tmp_path
-        )
-        try:
-            fingerprint = fleet.fingerprint(tiny_tasks)
-            self._serve(fleet, [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]])
-            assert fleet.persist() == 4
-            failing = fleet.shard_of(fingerprint)
-            path = fleet.stores[failing].path
-            before = path.read_text(encoding="utf-8")
-            assert fingerprint in before
-            fleet.stores[failing] = PlanStore(
-                path,
-                injector=FaultInjector(
-                    FaultPlan([FaultEvent(index=0, kind=PERSIST_ERROR)])
-                ),
-            )
-            # A successful write would drop the entry; the others are
-            # removed from disk so their rewrite is observable.
-            fleet.cache.invalidate(fingerprint)
-            others = [s.path for s in fleet.stores if s.path != path]
-            for other in others:
-                other.unlink()
-            assert fleet.persist() == fleet.num_shards - 1
-            assert path.read_text(encoding="utf-8") == before
-            assert all(other.is_file() for other in others)
-        finally:
-            fleet.close()
-
-    def test_failed_partition_is_rewritten_on_the_next_persist(
-        self, cluster, tiny_tasks, tmp_path
-    ):
-        """A transient I/O error costs one persist, not the partition: the
-        next persist() writes every partition again."""
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster), num_shards=2, store_dir=tmp_path
-        ) as fleet:
-            fingerprint = fleet.fingerprint(tiny_tasks)
-            fleet.plan(tiny_tasks, timeout=30.0)
-            failing = fleet.shard_of(fingerprint)
-            path = fleet.stores[failing].path
-            fleet.stores[failing] = PlanStore(
-                path,
-                injector=FaultInjector(
-                    FaultPlan([FaultEvent(index=0, kind=PERSIST_ERROR)])
-                ),
-            )
-            assert fleet.persist() == fleet.num_shards - 1
-            assert not path.exists()
-            assert fleet.persist() == fleet.num_shards
-            assert fingerprint in path.read_text(encoding="utf-8")
+        assert fleet[2] == bare[2] == (6, 1.0, 1)
+        assert fleet[3] == bare[3]
+        assert fleet[4] == bare[4]
+        # A fleet mints a bare service's trace IDs: <fp8>-<seed>-<ordinal>.
+        assert fleet[3][0][0].endswith("-11-000000")

@@ -23,9 +23,9 @@ from repro.service import (
     TIER_FRESH,
     TIER_REFERENCE,
     CircuitBreaker,
+    PlanCache,
     PlanResponse,
     PlanService,
-    PlanServiceFleet,
     ResiliencePolicy,
     ServiceOverloadError,
 )
@@ -310,6 +310,44 @@ class TestPlannerFactoryFailures:
         assert service.stats.errors == len(workloads)
 
 
+class PutFailingOnceCache(PlanCache):
+    """A plan cache whose first ``put`` raises, outside the solve's guard."""
+
+    def __init__(self) -> None:
+        super().__init__(capacity=8)
+        self.failed = False
+
+    def put(self, fingerprint, plan, payload=None) -> None:
+        if not self.failed:
+            self.failed = True
+            raise OSError("cache fill failed")
+        super().put(fingerprint, plan, payload)
+
+
+class TestFaultOutsideTheSolveGuard:
+    def test_failing_cache_fill_fails_its_request_and_the_worker_serves_on(
+        self, cluster, tiny_tasks
+    ):
+        slo = SloTracker()
+        with PlanService(
+            ExecutionPlanner(cluster),
+            cache=PutFailingOnceCache(),
+            num_workers=1,
+            slo=slo,
+        ) as service:
+            live = sum(worker.is_alive() for worker in service._workers)
+            first = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+            assert first.outcome == RESPONSE_ERROR
+            assert first.error == "cache fill failed"
+            second = service.request(tiny_tasks[:1], timeout=FACTORY_FAILURE_BOUND)
+            assert second.outcome == RESPONSE_SERVED
+            assert second.tier == TIER_FRESH
+            assert sum(worker.is_alive() for worker in service._workers) == live == 1
+        report = slo.report()
+        assert (report.count, report.error_rate) == (2, 0.5)
+        assert service.stats.errors == 1
+
+
 class TestDegradationLadder:
     def _always_failing_injector(self):
         return injector_for(
@@ -502,25 +540,3 @@ class TestDeadlines:
         assert response.outcome == RESPONSE_DEGRADED
         assert response.tier == TIER_REFERENCE
         assert response.attempts == 1
-
-
-class TestFleetResilience:
-    def test_policy_reaches_every_shard_with_its_own_breaker(self):
-        cluster = make_cluster(4, devices_per_node=4)
-        policy = ResiliencePolicy(max_attempts=2, breaker_failure_threshold=1)
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster),
-            num_shards=3,
-            num_workers=1,
-            resilience=policy,
-        ) as fleet:
-            assert all(shard.resilience is policy for shard in fleet.shards)
-            breakers = [shard.breaker for shard in fleet.shards]
-            assert len({id(breaker) for breaker in breakers}) == 3
-            # Tripping one shard's breaker leaves its peers closed.
-            breakers[0].record_failure()
-            assert [b.state for b in breakers] == [
-                BREAKER_OPEN,
-                BREAKER_CLOSED,
-                BREAKER_CLOSED,
-            ]

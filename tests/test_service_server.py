@@ -63,10 +63,12 @@ class TestBasicServing:
         assert service.stats.count(OUTCOME_HIT) == 2
         assert service.stats.hit_rate == pytest.approx(2 / 3)
 
-    def test_serialized_plan_byte_identical(self, cluster, tiny_tasks):
+    def test_cached_payload_byte_identical_across_hits(self, cluster, tiny_tasks):
         with PlanService(ExecutionPlanner(cluster), num_workers=1) as service:
-            first = service.serialized_plan(tiny_tasks, timeout=30.0)
-            second = service.serialized_plan(tiny_tasks, timeout=30.0)
+            fingerprint = service.plan(tiny_tasks, timeout=30.0).fingerprint
+            first = service.cache.get_payload(fingerprint)
+            service.plan(tiny_tasks, timeout=30.0)
+            second = service.cache.get_payload(fingerprint)
         assert first.encode("utf-8") == second.encode("utf-8")
 
     def test_planner_factory_builds_per_worker_planners(self, cluster, tiny_tasks):

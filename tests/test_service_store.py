@@ -202,7 +202,7 @@ class TestCounters:
 
     def test_save_counts_no_hit_and_keeps_the_lru_order(self, tmp_path, tiny_tasks):
         cache, fingerprints = self._unserved_cache(tiny_tasks)
-        PlanStore(tmp_path / "plans.json").save(cache, fingerprints=fingerprints[::-1])
+        PlanStore(tmp_path / "plans.json").save(cache)
         assert (cache.stats.hits, cache.stats.misses) == (0, 0)
         assert cache.stats.hit_rate == 0.0
         assert cache.fingerprints() == fingerprints
@@ -258,31 +258,3 @@ class TestLegacyV1:
         with pytest.raises(StoreError, match="snapshot version 1 "):
             PlanStore(path).load_into(restored)
         assert len(restored) == 0
-
-
-class TestPartitionedSave:
-    def test_save_filters_to_given_fingerprints(self, tmp_path, tiny_tasks):
-        planner = ExecutionPlanner(make_cluster(4, devices_per_node=4))
-        cache = PlanCache(capacity=8)
-        plans = [
-            planner.plan(tiny_tasks),
-            planner.plan(tiny_tasks[:1]),
-        ]
-        for plan in plans:
-            cache.put(plan.fingerprint, plan)
-        store = PlanStore(tmp_path / "part.json")
-        store.save(cache, fingerprints=[plans[0].fingerprint])
-        snapshot = json.loads(
-            (tmp_path / "part.json").read_text(encoding="utf-8")
-        )
-        assert list(snapshot["entries"]) == [plans[0].fingerprint]
-        assert snapshot["entry_count"] == 1
-
-    def test_save_with_empty_selection_writes_empty_snapshot(
-        self, tmp_path, populated_cache
-    ):
-        cache, _ = populated_cache
-        store = PlanStore(tmp_path / "empty.json")
-        store.save(cache, fingerprints=[])
-        result = PlanStore(tmp_path / "empty.json").load_into(PlanCache())
-        assert result.loaded == 0 and result.quarantined == {}

@@ -19,7 +19,7 @@ from repro.obs import (
     attribution_report,
     reconstruct_requests,
 )
-from repro.service import PlanService, PlanServiceFleet, ResiliencePolicy
+from repro.service import PlanService, ResiliencePolicy
 
 
 class GatedPlanner(ExecutionPlanner):
@@ -287,43 +287,6 @@ class TestSloRecording:
         assert slo.tenant_reports()["b"].count == 1
         # Topology scope carries the cluster signature prefix.
         assert len(slo.topology_reports()) == 1
-
-
-class TestFleetSharing:
-    def test_fleet_shards_share_journal_and_slo_with_per_shard_ids(
-        self, tiny_tasks
-    ):
-        journal = TelemetryJournal()
-        slo = SloTracker()
-        cluster = make_cluster(4, devices_per_node=4)
-        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:]]
-        with PlanServiceFleet(
-            lambda: ExecutionPlanner(cluster),
-            num_shards=4,
-            num_workers=1,
-            journal=journal,
-            slo=slo,
-        ) as fleet:
-            assert all(
-                shard.journal is journal and shard.slo is slo
-                for shard in fleet.shards
-            )
-            responses = [
-                fleet.request(workload, timeout=30.0, tenant="t")
-                for workload in workloads
-            ]
-            labels = {
-                fleet.shards[fleet.shard_of(r.fingerprint)]._topology_label
-                for r in responses
-            }
-        # Per-shard ID namespaces keep IDs unique across the fleet.
-        trace_ids = {response.trace_id for response in responses}
-        assert len(trace_ids) == len(workloads)
-        lifecycles = reconstruct_requests(journal.events())
-        assert set(lifecycles) == trace_ids
-        assert {life.topology for life in lifecycles.values()} == labels
-        assert slo.report().count == len(workloads)
-        assert len(slo.topology_reports()) == len(labels)
 
 
 # SHA-256 of ``TelemetryJournal.dumps()``, the stats outcome counts and the
