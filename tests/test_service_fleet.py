@@ -2,12 +2,15 @@
 
 Covers that a fleet serves the planner's plans, coalesces one fingerprint
 across entry points and concurrent clients, serves its service's cache,
-memo, breaker and telemetry sinks, and journals, counts and serves exactly
-what a bare service does.
+memo, breaker and telemetry sinks, journals, counts and serves exactly
+what a bare service does, and warm-starts from a :class:`PlanStore`
+composed with its cache.
 """
 
 import json
+import re
 import threading
+import time
 from concurrent.futures import wait
 
 import pytest
@@ -18,10 +21,15 @@ from repro.core.planner import ExecutionPlanner
 from repro.obs import SloTracker, TelemetryJournal
 from repro.service import (
     OUTCOME_COALESCED,
+    OUTCOME_HIT,
     OUTCOME_MISS,
+    RESPONSE_SERVED,
+    TIER_CACHE,
+    TIER_FRESH,
     PlanCache,
     PlanService,
     PlanServiceFleet,
+    PlanStore,
     ResiliencePolicy,
     ServiceError,
 )
@@ -63,6 +71,13 @@ def _canonical(payload: str) -> str:
     document = json.loads(payload)
     document.pop("planning_report", None)
     return json.dumps(document, sort_keys=True)
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class TestFleetServing:
@@ -194,6 +209,109 @@ class TestFleetServing:
             # each worker builds its own on its first solve.
             assert factory.builds == 1
 
+    def test_default_cache_is_one_plan_cache_of_the_fleet_capacity(self, cluster):
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
+            assert type(fleet.cache) is PlanCache
+            assert fleet.cache.capacity == 256
+            assert fleet.service.cache is fleet.cache
+
+    def test_a_given_cache_is_the_one_the_fleet_serves(self, cluster, tiny_tasks):
+        """A caller's cache wins over ``capacity``, and a plan already in it
+        is a hit: no planner solves."""
+        plan = ExecutionPlanner(cluster).plan(tiny_tasks)
+        cache = PlanCache(capacity=3)
+        cache.put(plan.fingerprint, plan)
+        factory = CountingFactory(cluster)
+        with PlanServiceFleet(factory, cache=cache, capacity=99) as fleet:
+            assert fleet.cache is cache and cache.capacity == 3
+            assert fleet.fingerprint(tiny_tasks) == plan.fingerprint
+            response = fleet.request(list(reversed(tiny_tasks)), timeout=30.0)
+        assert (response.outcome, response.tier) == (RESPONSE_SERVED, TIER_CACHE)
+        assert response.plan is plan
+        assert factory.calls == 0
+        assert fleet.stats.count(OUTCOME_HIT) == 1
+
+    def test_rejects_an_invalid_worker_count(self, cluster):
+        with pytest.raises(ServiceError, match="num_workers"):
+            PlanServiceFleet(lambda: ExecutionPlanner(cluster), num_workers=0)
+
+    @pytest.mark.parametrize(
+        "option",
+        [{"num_shards": 4}, {"store_dir": "plans"}, {"stats": None}],
+        ids=["num_shards", "store_dir", "stats"],
+    )
+    def test_rejects_an_option_the_service_does_not_take(self, cluster, option):
+        """Sharding and partition options fail loudly instead of being
+        silently ignored."""
+        with pytest.raises(TypeError):
+            PlanServiceFleet(lambda: ExecutionPlanner(cluster), **option)
+
+    def test_a_fleet_builds_one_planner_per_worker_and_its_prototype(
+        self, cluster, tiny_tasks
+    ):
+        """Two workers solving at once: three planners in all, and later
+        solves build none."""
+        gate = threading.Event()
+        factory = CountingFactory(cluster, gate)
+        fleet = PlanServiceFleet(factory, num_workers=2, max_batch_size=1)
+        try:
+            futures = [fleet.submit(tiny_tasks), fleet.submit(tiny_tasks[:1])]
+            _wait_until(lambda: factory.builds == 3)
+            gate.set()
+            wait(futures, timeout=30.0)
+            fleet.plan(tiny_tasks[1:], timeout=30.0)
+            fleet.plan(tiny_tasks, timeout=30.0)
+        finally:
+            gate.set()
+            fleet.close()
+        assert factory.builds == 3
+        assert factory.calls == 3
+
+    def test_pending_requests_count_distinct_workloads_in_flight(
+        self, cluster, tiny_tasks
+    ):
+        gate = threading.Event()
+        fleet = PlanServiceFleet(CountingFactory(cluster, gate), num_workers=1)
+        try:
+            futures = [
+                fleet.submit(workload)
+                for workload in (tiny_tasks, tiny_tasks[:1], tiny_tasks[1:])
+            ]
+            fleet.submit(list(reversed(tiny_tasks)))  # coalesced: no new slot
+            assert fleet.pending_requests() == 3
+            gate.set()
+            wait(futures, timeout=30.0)
+            assert fleet.pending_requests() == 0
+        finally:
+            gate.set()
+            fleet.close()
+
+    def test_close_with_cancel_pending_fails_queued_requests(
+        self, cluster, tiny_tasks
+    ):
+        """A solve under way finishes; a request still queued behind it
+        resolves with ServiceError and is never solved."""
+        gate = threading.Event()
+        factory = CountingFactory(cluster, gate)
+        fleet = PlanServiceFleet(factory, num_workers=1, max_batch_size=1)
+        try:
+            running = fleet.submit(tiny_tasks)
+            _wait_until(lambda: factory.calls == 1)
+            queued = fleet.submit(tiny_tasks[:1])
+            fleet.close(wait=False, cancel_pending=True)
+            gate.set()
+            assert running.result(timeout=30.0).fingerprint == fleet.fingerprint(
+                tiny_tasks
+            )
+            with pytest.raises(ServiceError, match="closed before planning"):
+                queued.result(timeout=30.0)
+        finally:
+            gate.set()
+            fleet.close()
+            for worker in fleet.service._workers:
+                worker.join(timeout=30.0)
+        assert factory.calls == 1
+
     @pytest.mark.parametrize("entry_point", ["submit", "plan", "request"])
     def test_closed_fleet_rejects_every_entry_point(
         self, cluster, tiny_tasks, entry_point
@@ -280,3 +398,112 @@ class TestSameAsBareService:
         assert fleet[4] == bare[4]
         # A fleet mints a bare service's trace IDs: <fp8>-<seed>-<ordinal>.
         assert fleet[3][0][0].endswith("-11-000000")
+
+
+class TestTraceDeterminism:
+    def test_same_seed_runs_produce_identical_journals(self, cluster, tiny_tasks):
+        """Two same-seed fleets serving the same serial stream journal
+        byte-identically (no wall-clock in the journal)."""
+        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks, tiny_tasks[1:]]
+
+        def run() -> str:
+            journal = TelemetryJournal()
+            with PlanServiceFleet(
+                lambda: ExecutionPlanner(cluster),
+                num_workers=1,
+                journal=journal,
+                trace_seed=11,
+            ) as fleet:
+                for workload in workloads:
+                    fleet.plan(workload, timeout=30.0)
+            return journal.dumps()
+
+        first = run()
+        assert first and first == run()
+
+    def test_trace_ids_are_fingerprint_seed_and_ordinal(self, cluster, tiny_tasks):
+        """Every request, hit or miss, takes the next ordinal of the fleet's
+        one ID stream: ``<fp8>-<seed>-<ordinal>``, with no shard field."""
+        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks, tiny_tasks[1:]]
+        journal = TelemetryJournal()
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), journal=journal, trace_seed=7
+        ) as fleet:
+            responses = [fleet.request(w, timeout=30.0) for w in workloads]
+        assert [r.trace_id for r in responses] == [
+            f"{r.fingerprint[:8]}-7-{ordinal:06d}"
+            for ordinal, r in enumerate(responses)
+        ]
+        journaled = {e["trace_id"] for e in journal.events() if e["trace_id"]}
+        assert journaled == {r.trace_id for r in responses}
+        assert all(re.fullmatch(r"[0-9a-f]{8}-7-\d{6}", t) for t in journaled)
+
+
+class TestComposedPersistence:
+    """Durability composes a :class:`PlanStore` with ``fleet.cache``."""
+
+    WORKLOAD_SLICES = (slice(None), slice(None, 1), slice(1, None))
+
+    def _serve(self, fleet, tiny_tasks):
+        fingerprints = [
+            fleet.plan(tiny_tasks[window], timeout=30.0).fingerprint
+            for window in self.WORKLOAD_SLICES
+        ]
+        return fingerprints, [fleet.cache.get_payload(fp) for fp in fingerprints]
+
+    def test_persist_and_warm_start_through_a_plan_store(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        """A new fleet loaded from the snapshot serves the persisted bytes
+        for every workload without a solve."""
+        path = tmp_path / "plans.json"
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
+            fingerprints, payloads = self._serve(fleet, tiny_tasks)
+            PlanStore(path).save(fleet.cache)
+        factory = CountingFactory(cluster)
+        with PlanServiceFleet(factory) as warmed:
+            assert PlanStore(path).load_into(warmed.cache).loaded == 3
+            assert [
+                warmed.fingerprint(tiny_tasks[window])
+                for window in self.WORKLOAD_SLICES
+            ] == fingerprints
+            assert [warmed.cache.get_payload(fp) for fp in fingerprints] == payloads
+        assert factory.calls == 0
+
+    def test_persist_keeps_the_fleet_cache_lru_order(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        """Saving counts no hit and moves no entry, and a warm start
+        restores the same recency order, so both fleets evict alike."""
+        path = tmp_path / "plans.json"
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
+            fingerprints, _ = self._serve(fleet, tiny_tasks)
+            fleet.plan(tiny_tasks, timeout=30.0)  # a hit: most recent again
+            order = fleet.cache.fingerprints()
+            hits = fleet.cache.stats.hits
+            PlanStore(path).save(fleet.cache)
+            assert fleet.cache.fingerprints() == order
+            assert fleet.cache.stats.hits == hits
+        assert order == fingerprints[1:] + fingerprints[:1]
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as warmed:
+            PlanStore(path).load_into(warmed.cache)
+            assert warmed.cache.fingerprints() == order
+
+    def test_a_warm_fleet_solves_again_for_a_live_plan(
+        self, cluster, tiny_tasks, tmp_path
+    ):
+        """A snapshot restores payloads, not live plans: ``request`` on a
+        warm fleet solves afresh, and the new payload matches the persisted
+        one canonically."""
+        path = tmp_path / "plans.json"
+        with PlanServiceFleet(lambda: ExecutionPlanner(cluster)) as fleet:
+            (fingerprint, *_), (persisted, *_) = self._serve(fleet, tiny_tasks)
+            PlanStore(path).save(fleet.cache)
+        factory = CountingFactory(cluster)
+        with PlanServiceFleet(factory) as warmed:
+            PlanStore(path).load_into(warmed.cache)
+            response = warmed.request(tiny_tasks, timeout=30.0)
+            refreshed = warmed.cache.get_payload(fingerprint)
+        assert (response.outcome, response.tier) == (RESPONSE_SERVED, TIER_FRESH)
+        assert factory.calls == 1
+        assert _canonical(refreshed) == _canonical(persisted)

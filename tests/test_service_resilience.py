@@ -1,5 +1,6 @@
 """Tests for the hardened plan service: retries, breaker, ladder, shedding."""
 
+import threading
 from concurrent.futures import wait
 
 import pytest
@@ -15,6 +16,7 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.service import (
+    OUTCOME_MISS,
     RESPONSE_DEGRADED,
     RESPONSE_ERROR,
     RESPONSE_SERVED,
@@ -26,10 +28,11 @@ from repro.service import (
     PlanCache,
     PlanResponse,
     PlanService,
+    PlanServiceFleet,
     ResiliencePolicy,
     ServiceOverloadError,
 )
-from repro.obs import SloTracker
+from repro.obs import SloTracker, TelemetryJournal, reconstruct_requests
 from repro.service.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -311,17 +314,34 @@ class TestPlannerFactoryFailures:
 
 
 class PutFailingOnceCache(PlanCache):
-    """A plan cache whose first ``put`` raises, outside the solve's guard."""
+    """A plan cache whose ``put`` number ``fail_at`` (0-based) raises,
+    outside the solve's guard."""
 
-    def __init__(self) -> None:
+    def __init__(self, fail_at: int = 0) -> None:
         super().__init__(capacity=8)
-        self.failed = False
+        self.fail_at = fail_at
+        self.attempted_puts = 0
 
     def put(self, fingerprint, plan, payload=None) -> None:
-        if not self.failed:
-            self.failed = True
+        ordinal = self.attempted_puts
+        self.attempted_puts += 1
+        if ordinal == self.fail_at:
             raise OSError("cache fill failed")
         super().put(fingerprint, plan, payload)
+
+
+class HeldPlanner(ExecutionPlanner):
+    """Planner whose solves wait for ``gate``; ``started`` marks the first."""
+
+    def __init__(self, cluster) -> None:
+        super().__init__(cluster)
+        self.started = threading.Event()
+        self.gate = threading.Event()
+
+    def plan(self, workload, **kwargs):
+        self.started.set()
+        assert self.gate.wait(timeout=FACTORY_FAILURE_BOUND), "gate never opened"
+        return super().plan(workload, **kwargs)
 
 
 class TestFaultOutsideTheSolveGuard:
@@ -345,6 +365,87 @@ class TestFaultOutsideTheSolveGuard:
             assert sum(worker.is_alive() for worker in service._workers) == live == 1
         report = slo.report()
         assert (report.count, report.error_rate) == (2, 0.5)
+        assert service.stats.errors == 1
+
+    def test_the_rest_of_the_batch_is_served(self, cluster, chain_task_factory):
+        """Three requests queued behind a held solve reach the worker as one
+        batch; the first group's fill fails and the other two are served."""
+        workloads = [
+            [chain_task_factory(f"batch-{i}", {"lm": i + 1})] for i in range(4)
+        ]
+        planner = HeldPlanner(cluster)
+        with PlanService(
+            planner, cache=PutFailingOnceCache(fail_at=1), num_workers=1
+        ) as service:
+            held = service.submit(workloads[0])
+            assert planner.started.wait(timeout=FACTORY_FAILURE_BOUND)
+            batch = [service.submit(workload) for workload in workloads[1:]]
+            planner.gate.set()
+            _, pending = wait([held, *batch], timeout=FACTORY_FAILURE_BOUND)
+            assert not pending
+            assert held.result().fingerprint == service.fingerprint(workloads[0])
+            with pytest.raises(OSError, match="cache fill failed"):
+                batch[0].result()
+            for future, workload in zip(batch[1:], workloads[2:]):
+                assert future.result().fingerprint == service.fingerprint(workload)
+            assert sum(worker.is_alive() for worker in service._workers) == 1
+        assert service.stats.errors == 1
+        assert service.stats.count(OUTCOME_MISS) == 3
+
+    def test_coalesced_followers_of_the_failing_group_resolve_error(
+        self, cluster, tiny_tasks
+    ):
+        """A follower coalesced onto the failing leader shares its error, and
+        the journal closes both lifecycles as errors."""
+        journal, slo = TelemetryJournal(), SloTracker()
+        planner = HeldPlanner(cluster)
+        with PlanService(
+            planner,
+            cache=PutFailingOnceCache(fail_at=1),
+            num_workers=1,
+            journal=journal,
+            slo=slo,
+        ) as service:
+            held = service.submit(tiny_tasks[:1])
+            assert planner.started.wait(timeout=FACTORY_FAILURE_BOUND)
+            leader = service.submit(tiny_tasks)
+            follower = service.submit(list(reversed(tiny_tasks)))
+            assert follower is leader
+            planner.gate.set()
+            held.result(timeout=FACTORY_FAILURE_BOUND)
+            with pytest.raises(OSError, match="cache fill failed"):
+                leader.result(timeout=FACTORY_FAILURE_BOUND)
+        fingerprint = service.fingerprint(tiny_tasks)
+        failed = [
+            life
+            for life in reconstruct_requests(journal.events()).values()
+            if life.fingerprint == fingerprint
+        ]
+        assert len(failed) == 2
+        assert all(life.complete for life in failed)
+        assert [life.outcome for life in failed] == [RESPONSE_ERROR] * 2
+        assert sum(life.leader is not None for life in failed) == 1
+        report = slo.report()
+        assert (report.count, report.error_rate) == (3, pytest.approx(2 / 3))
+
+    def test_a_failed_fill_frees_its_fingerprint_for_a_fresh_solve(
+        self, cluster, tiny_tasks
+    ):
+        """The failed request leaves no in-flight slot behind: the next
+        request for its workload is a new miss, solved and cached."""
+        with PlanService(
+            ExecutionPlanner(cluster), cache=PutFailingOnceCache(), num_workers=1
+        ) as service:
+            failed = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+            assert failed.outcome == RESPONSE_ERROR
+            assert service.pending_requests() == 0
+            assert service.fingerprint(tiny_tasks) not in service.cache
+            retried = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+            assert (retried.outcome, retried.tier) == (RESPONSE_SERVED, TIER_FRESH)
+            assert service.fingerprint(tiny_tasks) in service.cache
+            again = service.request(tiny_tasks, timeout=FACTORY_FAILURE_BOUND)
+            assert again.tier == TIER_CACHE
+        assert service.stats.count(OUTCOME_MISS) == 1
         assert service.stats.errors == 1
 
 
@@ -540,3 +641,35 @@ class TestDeadlines:
         assert response.outcome == RESPONSE_DEGRADED
         assert response.tier == TIER_REFERENCE
         assert response.attempts == 1
+
+
+class TestFleetResilience:
+    def test_one_breaker_guards_every_fingerprint_of_a_fleet(
+        self, cluster, chain_task_factory
+    ):
+        """A failure on one workload opens the fleet's one breaker, so a
+        different workload skips its solve and takes the reference rung."""
+        policy = ResiliencePolicy(
+            max_attempts=1,
+            breaker_failure_threshold=1,
+            breaker_reset_seconds=60.0,
+        )
+        injector = injector_for(FaultEvent(index=0, kind=PLANNER_ERROR))
+        workloads = [
+            [chain_task_factory(f"fleet-breaker-{i}", {"lm": i + 1})]
+            for i in range(2)
+        ]
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster),
+            num_workers=1,
+            resilience=policy,
+            fault_injector=injector,
+        ) as fleet:
+            first = fleet.request(workloads[0], timeout=30.0)
+            assert fleet.service.breaker.state == BREAKER_OPEN
+            second = fleet.request(workloads[1], timeout=30.0)
+        assert (first.outcome, first.tier) == (RESPONSE_DEGRADED, TIER_REFERENCE)
+        assert (second.outcome, second.tier) == (RESPONSE_DEGRADED, TIER_REFERENCE)
+        assert second.fingerprint != first.fingerprint
+        assert (first.attempts, second.attempts) == (1, 0)
+        assert injector.counts()[PLANNER_ERROR] == 1

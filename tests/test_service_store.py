@@ -62,6 +62,13 @@ class TestRoundTrip:
         assert record["checksum"] == payload_checksum(record["payload"])
 
 
+    def test_save_of_an_empty_cache_writes_an_empty_snapshot(self, tmp_path):
+        path = PlanStore(tmp_path / "empty.json").save(PlanCache())
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        assert (snapshot["entries"], snapshot["entry_count"]) == ({}, 0)
+        result = PlanStore(path).load_into(PlanCache())
+        assert result.loaded == 0 and result.quarantined == {}
+
     def test_save_creates_missing_directories(self, tmp_path, populated_cache):
         cache, fingerprint = populated_cache
         path = PlanStore(tmp_path / "a" / "b" / "plans.json").save(cache)
@@ -208,6 +215,20 @@ class TestCounters:
         assert cache.fingerprints() == fingerprints
         restored = PlanCache(capacity=8)
         assert PlanStore(tmp_path / "plans.json").load_into(restored).loaded == 8
+
+    def test_load_into_a_smaller_cache_keeps_the_most_recent_entries(
+        self, tmp_path, tiny_tasks
+    ):
+        """The snapshot lists entries least recent first, so a warm start
+        into a smaller cache evicts exactly what the saved cache would."""
+        cache, fingerprints = self._unserved_cache(tiny_tasks)
+        path = PlanStore(tmp_path / "plans.json").save(cache)
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        assert list(snapshot["entries"]) == fingerprints
+        restored = PlanCache(capacity=3)
+        assert PlanStore(path).load_into(restored).loaded == 8
+        assert restored.fingerprints() == fingerprints[-3:]
+        assert restored.stats.evictions == 5
 
     def test_save_quarantines_a_corrupt_entry_without_counting_a_miss(self, tmp_path, tiny_tasks):
         cache, fingerprints = self._unserved_cache(tiny_tasks)

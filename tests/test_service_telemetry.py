@@ -19,7 +19,7 @@ from repro.obs import (
     attribution_report,
     reconstruct_requests,
 )
-from repro.service import PlanService, ResiliencePolicy
+from repro.service import PlanService, PlanServiceFleet, ResiliencePolicy
 
 
 class GatedPlanner(ExecutionPlanner):
@@ -287,6 +287,48 @@ class TestSloRecording:
         assert slo.tenant_reports()["b"].count == 1
         # Topology scope carries the cluster signature prefix.
         assert len(slo.topology_reports()) == 1
+
+
+class TestFleetSharing:
+    def _serve(self, cluster, tiny_tasks, journal, slo):
+        workloads = [tiny_tasks, tiny_tasks[:1], tiny_tasks[1:], tiny_tasks]
+        tenants = ["a", "b", "a", "b"]
+        with PlanServiceFleet(
+            lambda: ExecutionPlanner(cluster), journal=journal, slo=slo
+        ) as fleet:
+            return [
+                fleet.request(workload, timeout=30.0, tenant=tenant)
+                for workload, tenant in zip(workloads, tenants)
+            ]
+
+    def test_a_fleet_journals_under_its_service_topology_label(
+        self, cluster, tiny_tasks
+    ):
+        """One lifecycle per request, each under its own trace ID and the
+        service's default ``topology`` label: the cluster signature prefix."""
+        journal, slo = TelemetryJournal(), SloTracker()
+        responses = self._serve(cluster, tiny_tasks, journal, slo)
+        trace_ids = {response.trace_id for response in responses}
+        assert len(trace_ids) == len(responses)
+        lifecycles = reconstruct_requests(journal.events())
+        assert set(lifecycles) == trace_ids
+        assert all(life.complete for life in lifecycles.values())
+        label = cluster.signature()[:12]
+        assert {life.topology for life in lifecycles.values()} == {label}
+        assert set(slo.topology_reports()) == {label}
+
+    def test_a_fleet_tracks_every_tenant_in_one_slo_window(
+        self, cluster, tiny_tasks
+    ):
+        journal, slo = TelemetryJournal(), SloTracker()
+        responses = self._serve(cluster, tiny_tasks, journal, slo)
+        assert [r.tenant for r in responses] == ["a", "b", "a", "b"]
+        assert slo.report().count == len(responses)
+        assert {
+            tenant: report.count for tenant, report in slo.tenant_reports().items()
+        } == {"a": 2, "b": 2}
+        lifecycles = reconstruct_requests(journal.events())
+        assert sorted(life.tenant for life in lifecycles.values()) == ["a", "a", "b", "b"]
 
 
 # SHA-256 of ``TelemetryJournal.dumps()``, the stats outcome counts and the
